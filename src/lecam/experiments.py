@@ -249,6 +249,9 @@ def load_samples(path) -> np.ndarray:
     with open(path) as fh:
         body = [line.strip() for line in fh if line.strip()]
     try:
-        return np.asarray(body, dtype=float)
+        values = np.asarray(body, dtype=float)
     except ValueError as exc:
         raise UsageError(f"{path}: malformed sample file: {exc}") from None
+    if not np.isfinite(values).all():
+        raise UsageError(f"{path}: sample values must be finite")
+    return values

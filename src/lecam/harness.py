@@ -9,6 +9,7 @@ expected to fail and are reported as ordinary failing checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -44,6 +45,7 @@ __all__ = [
     "verify_ystar_moments",
     "transfer_rule",
     "theta1_problem",
+    "merge_moments",
     "verify_risk_transfer",
     "rate_sweep",
     "run_suite",
@@ -51,6 +53,7 @@ __all__ = [
 
 TEST_LEVEL = 0.001  # pre-registered per-test significance level
 MOMENT_BAND = 4.0   # standard-error band for moment checks
+RISK_BLOCK = 100    # replications per risk-transfer block
 
 
 def sig12(x):
@@ -308,6 +311,24 @@ def transfer_rule(rule: Callable, kernel) -> Callable:
     return transferred
 
 
+def merge_moments(a: tuple, b: tuple) -> tuple[int, float, float]:
+    """Chan, Golub & LeVeque's pairwise update of (count, mean, M2) triples.
+
+    Merging block moments in a fixed order gives the same floats however the
+    blocks were scheduled.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _risk_estimate(moments: tuple) -> RiskEstimate:
+    count, mean, m2 = moments
+    return RiskEstimate(mean, math.sqrt(m2 / (count - 1) / count), count)
+
+
 def verify_risk_transfer(
     problem: DecisionProblem,
     f: DensityModel,
@@ -316,6 +337,7 @@ def verify_risk_transfer(
     replications: int = 10_000,
     seed=0,
     rule: Callable | None = None,
+    map: Callable = map,
 ) -> CheckReport:
     """Risk gap across the chain versus the Hellinger-derived TV budget.
 
@@ -326,8 +348,15 @@ def verify_risk_transfer(
     rule is the empirical cell-1 frequency.  The TV budget is tv_sandwich
     applied to the exact product-rule H^2, which is the computable
     surrogate (<= sqrt(n) H(f, f_hat_m)) for the true TV.
+
+    Replications run in blocks of ``RISK_BLOCK``, each on its own named
+    substreams, so memory stays flat as ``replications`` grows.  ``map``
+    schedules the blocks (``pool.map`` runs them on a thread pool); their
+    loss moments merge in block order, so the report does not depend on it.
     """
     R = int(replications)
+    if R < 2:
+        raise UsageError("need at least 2 replications for a standard error")
     theta = theta_of(f, m).theta
     theta_true = problem.target(f)
     basis = tent_basis(m)
@@ -338,25 +367,28 @@ def verify_risk_transfer(
         def rule(rows: np.ndarray) -> np.ndarray:
             return (rows <= cell_edge).mean(axis=1)
 
-    xs = sample_iid(f, R * n, substream_seq(seed, "target")).reshape(R, n)
-    loss_target = problem.loss(theta_true, rule(xs))
-
-    counts = substream(seed, "source").multinomial(n, theta, size=R)
-    mid_idx = np.repeat(np.tile(np.arange(m), R), counts.ravel()).reshape(R, n)
-    us = substream(seed, "tent").uniform(size=(R, n))
-    ys = basis.ppf_indexed(mid_idx, us)
-    loss_source = problem.loss(theta_true, rule(ys))
-
-    for arr in (loss_target, loss_source):
-        if arr.min() < 0.0 or arr.max() > 1.0:
+    def checked_moments(losses: np.ndarray) -> tuple[int, float, float]:
+        """(count, mean, M2) of one block's losses, M2 = sum of squared deviations."""
+        if not (losses.min() >= 0.0 and losses.max() <= 1.0):
             raise DomainError("loss values fell outside [0, 1]")
+        mean = float(losses.mean())
+        return losses.size, mean, float(((losses - mean) ** 2).sum())
 
-    risk_t = RiskEstimate(
-        float(loss_target.mean()), float(loss_target.std(ddof=1) / math.sqrt(R)), R
-    )
-    risk_s = RiskEstimate(
-        float(loss_source.mean()), float(loss_source.std(ddof=1) / math.sqrt(R)), R
-    )
+    def block(b: int) -> tuple[tuple, tuple]:
+        size = min(RISK_BLOCK, R - b * RISK_BLOCK)
+        xs = sample_iid(f, size * n, substream_seq(seed, "target", "block", b))
+        target = checked_moments(problem.loss(theta_true, rule(xs.reshape(size, n))))
+
+        counts = substream(seed, "source", "block", b).multinomial(n, theta, size=size)
+        mid_idx = np.repeat(np.tile(np.arange(m), size), counts.ravel()).reshape(size, n)
+        us = substream(seed, "tent", "block", b).uniform(size=(size, n))
+        ys = basis.ppf_indexed(mid_idx, us)
+        source = checked_moments(problem.loss(theta_true, rule(ys)))
+        return target, source
+
+    blocks = list(map(block, range(-(-R // RISK_BLOCK))))
+    risk_t = _risk_estimate(functools.reduce(merge_moments, (t for t, _ in blocks)))
+    risk_s = _risk_estimate(functools.reduce(merge_moments, (s for _, s in blocks)))
 
     h_sq = hellinger_bound(f, m).hellinger_sq
     tv_budget = tv_sandwich(hellinger_sq_product([h_sq] * n))[1]
@@ -496,19 +528,7 @@ def run_suite(
                 ),
             )
         )
-    jobs.append(
-        (
-            "risk-transfer",
-            lambda: verify_risk_transfer(
-                theta1_problem(16),
-                f,
-                n=1000,
-                m=16,
-                replications=replications,
-                seed=substream_seq(seed, "risk"),
-            ),
-        )
-    )
+    risk_index = len(jobs)  # the risk report follows the positive checks
     if negative_control:
         wrong = _perturbed_theta(theta_of(f, 8).theta)
         jobs.append(
@@ -536,8 +556,27 @@ def run_suite(
             )
         )
 
+    def risk_transfer(map: Callable) -> CheckReport:
+        return verify_risk_transfer(
+            theta1_problem(16),
+            f,
+            n=1000,
+            m=16,
+            replications=replications,
+            seed=substream_seq(seed, "risk"),
+            map=map,
+        )
+
     if parallel == 1:
-        return [job() for _, job in jobs]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = [pool.submit(job) for _, job in jobs]
-        return [fut.result() for fut in futures]
+        risk = risk_transfer(map)
+        reports = [job() for _, job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
+            # the risk-transfer blocks, most of the work, go to the pool before
+            # the small checks, so they never queue behind a job that waits on
+            # this thread; no pool worker waits on the pool
+            risk = risk_transfer(pool.map)
+            futures = [pool.submit(job) for _, job in jobs]
+            reports = [fut.result() for fut in futures]
+    reports.insert(risk_index, risk)
+    return reports

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .quadrature import integrate
 
 __all__ = [
@@ -110,6 +110,10 @@ class NormalSpec:
     variance: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise DomainError(
+                f"normal parameters must be finite, got {self.mean},{self.variance}"
+            )
         if not self.variance > 0.0:
             raise DomainError(f"variance must be positive, got {self.variance}")
 
@@ -204,7 +208,10 @@ def hellinger_sq_product(components: Sequence[float]) -> float:
     else:
         result = float(2.0 * -np.expm1(np.log(one_minus).sum()))
     # subadditivity is a theorem; failing it means a numerics bug
-    assert result <= comps.sum() + 1e-12, "product rule broke subadditivity"
+    if not result <= comps.sum() + 1e-12:
+        raise NumericalError(
+            f"product rule broke subadditivity: {result!r} > {comps.sum()!r}"
+        )
     return result
 
 

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lecam.cli import main
+from lecam.cli import _normal_crossings, main
 from lecam.experiments import load_samples
+from lecam.measures import NormalSpec
 
 
 def run(argv, capsys):
@@ -42,6 +43,30 @@ class TestDistance:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2.0 * norm.cdf(0.5) - 1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0.0, 1.0), (0.0, 4.0)), ((0.0, 1e-6), (1.0, 1.0)), ((0.3, 0.5), (-0.2, 2.0))],
+    )
+    def test_unequal_variance_tv_matches_cdf_oracle(self, a, b, capsys):
+        # the narrower law has the excess mass exactly between the crossings
+        from scipy.stats import norm
+
+        narrow, wide = sorted((NormalSpec(*a), NormalSpec(*b)), key=lambda s: s.variance)
+        lo, hi = sorted(_normal_crossings(narrow, wide))
+
+        def mass(s):
+            sd = math.sqrt(s.variance)
+            return norm.cdf(hi, s.mean, sd) - norm.cdf(lo, s.mean, sd)
+
+        code, out, _ = run(
+            ["distance", f"--normal={a[0]},{a[1]}", f"--normal={b[0]},{b[1]}",
+             "--metric", "tv"],
+            capsys,
+        )
+        assert code == 0
+        exact = mass(narrow) - mass(wide)
+        assert json.loads(out)["value"] == pytest.approx(exact, abs=1e-9)
+
     def test_density_pair(self, capsys):
         code, out, _ = run(
             ["distance", "--density", "uniform", "--density", "cosine:0.3"], capsys
@@ -51,10 +76,35 @@ class TestDistance:
         assert record["method"] == "quadrature"
         assert 0.0 < record["value"] < 2.0
 
+    def test_normal_crossings_of_unequal_variances(self):
+        # phi(x) = phi(x / 2) / 2  <=>  x^2 = (8 / 3) ln 2
+        a, b = NormalSpec(0.0, 1.0), NormalSpec(0.0, 4.0)
+        for lo, hi in (sorted(_normal_crossings(a, b)), sorted(_normal_crossings(b, a))):
+            assert lo == pytest.approx(-1.35956, abs=1e-5)
+            assert hi == pytest.approx(1.35956, abs=1e-5)
+            assert a.pdf(hi) == pytest.approx(b.pdf(hi), rel=1e-12)
+
+    def test_normal_crossings_of_shifted_unequal_variances(self):
+        a, b = NormalSpec(0.5, 0.3), NormalSpec(-1.0, 2.5)
+        roots = _normal_crossings(a, b)
+        assert len(roots) == 2
+        for x in roots:
+            assert a.pdf(x) == pytest.approx(b.pdf(x), rel=1e-10)
+
     def test_invalid_variance_exits_2(self, capsys):
         code, _, err = run(["distance", "--normal", "0,1", "--normal", "0,-1"], capsys)
         assert code == 2
         assert "variance" in err
+
+    @pytest.mark.parametrize("metric", ["hellinger-sq", "tv"])
+    @pytest.mark.parametrize("spec", ["nan,1", "inf,1", "0,inf", "0,nan"])
+    def test_non_finite_normal_exits_2(self, spec, metric, capsys):
+        code, out, err = run(
+            ["distance", f"--normal={spec}", "--normal=1,1", "--metric", metric], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_needs_exactly_two_specs(self, capsys):
         code, _, _ = run(["distance", "--normal", "0,1"], capsys)
@@ -215,6 +265,16 @@ class TestTransport:
             ["transport", "--m", "4", "--in", str(sample), "--seed", "3"], capsys
         )
         assert code == 2
+
+    def test_non_finite_input_file(self, tmp_path, capsys):
+        sample = tmp_path / "nan.txt"
+        sample.write_text("0.125\nnan\n0.625\n")
+        code, out, err = run(
+            ["transport", "--m", "4", "--in", str(sample), "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_out_of_range_input_file(self, tmp_path, capsys):
         sample = tmp_path / "oob.txt"

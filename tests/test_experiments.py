@@ -223,6 +223,13 @@ class TestSerialization:
         with pytest.raises(UsageError):
             load_samples(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_samples_non_finite(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0.125\n{bad}\n0.625\n")
+        with pytest.raises(UsageError, match="finite"):
+            load_samples(path)
+
     def test_trajectory_grid_checks(self):
         with pytest.raises(UsageError):
             Trajectory(times=np.array([0.0, 0.5, 0.6]), values=np.zeros(3))

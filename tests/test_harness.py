@@ -1,4 +1,7 @@
 import json
+import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from lecam.equivalence import RateParams, bound_density_reconstruction
 from lecam.errors import UsageError
 from lecam.experiments import sample_iid, theta_of
 from lecam.harness import (
+    RISK_BLOCK,
     CheckReport,
+    DecisionProblem,
+    merge_moments,
     rate_sweep,
     run_suite,
     sig12,
@@ -138,6 +144,81 @@ class TestRiskTransfer:
         assert report.statistic == pytest.approx(0.0, abs=1e-12)
 
 
+class TestRiskTransferBlocks:
+    R = 12 * RISK_BLOCK + 34  # the last block is short
+
+    def test_chan_merge_matches_concatenated_moments(self):
+        rng = np.random.default_rng(11)
+        losses = rng.uniform(size=self.R) ** 3
+        blocks = [
+            losses[i : i + RISK_BLOCK] for i in range(0, self.R, RISK_BLOCK)
+        ]
+        moments = [
+            (b.size, b.mean(), ((b - b.mean()) ** 2).sum()) for b in blocks
+        ]
+        count, mean, m2 = moments[0]
+        for other in moments[1:]:
+            count, mean, m2 = merge_moments((count, mean, m2), other)
+        assert count == self.R
+        assert mean == pytest.approx(losses.mean(), abs=1e-12)
+        assert math.sqrt(m2 / (count - 1)) == pytest.approx(
+            losses.std(ddof=1), abs=1e-12
+        )
+
+    def test_report_is_the_moments_of_every_loss(self):
+        # record each block's losses in the order the serial map runs them
+        base = theta1_problem(8)
+        seen = []
+
+        def loss(true_value, actions):
+            out = base.loss(true_value, actions)
+            seen.append(out)
+            return out
+
+        problem = DecisionProblem(base.action_space, loss, base.target)
+        report = verify_risk_transfer(
+            problem, COSINE, n=200, m=8, replications=self.R, seed=4
+        )
+        blocks = -(-self.R // RISK_BLOCK)
+        assert len(seen) == 2 * blocks
+        for key, losses in (
+            ("risk_target", np.concatenate(seen[0::2])),
+            ("risk_source", np.concatenate(seen[1::2])),
+        ):
+            assert losses.size == self.R
+            assert report.details[key] == pytest.approx(losses.mean(), abs=1e-12)
+            assert report.details[key + "_se"] == pytest.approx(
+                losses.std(ddof=1) / math.sqrt(self.R), abs=1e-12
+            )
+
+    def test_pool_map_gives_the_serial_report(self):
+        args = (theta1_problem(8), COSINE)
+        kwargs = dict(n=200, m=8, replications=self.R, seed=3)
+        serial = verify_risk_transfer(*args, **kwargs)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = verify_risk_transfer(*args, **kwargs, map=pool.map)
+        assert pooled == serial
+
+    def test_memory_does_not_grow_with_replications(self):
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                verify_risk_transfer(
+                    theta1_problem(16), COSINE, n=1_000, m=16,
+                    replications=blocks * RISK_BLOCK, seed=2,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2), peak(8)
+        assert large <= 1.5 * small, (small, large)
+
+    def test_needs_two_replications(self):
+        with pytest.raises(UsageError):
+            verify_risk_transfer(theta1_problem(8), COSINE, n=10, m=8, replications=1)
+
+
 class TestRateSweep:
     def test_uniform_exact_zero(self):
         sweep = rate_sweep(uniform(), 1.0, [2**k for k in range(10, 15)])
@@ -173,6 +254,15 @@ class TestSuite:
         threaded = run_suite(COSINE, seed=42, replications=1_000, parallel=8)
         assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
         assert all(r.passed for r in serial)
+
+    def test_uneven_blocks_deterministic_across_parallelism(self):
+        R = 12 * RISK_BLOCK + 34
+        reports = [
+            [r.to_json() for r in run_suite(COSINE, seed=7, replications=R, parallel=p)]
+            for p in (1, 2, 8)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert f"reps={R}]" in reports[0][7]
 
     def test_negative_controls_fail(self):
         reports = run_suite(COSINE, seed=42, replications=1_000, negative_control=True)

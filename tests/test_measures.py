@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecam.errors import DomainError
+from lecam import measures
+from lecam.errors import DomainError, NumericalError
 from lecam.measures import (
     DiscreteLaw,
     DistanceReport,
@@ -67,6 +68,14 @@ class TestHellingerNormal:
             hellinger_sq_normal(b, a), abs=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_parameters_rejected(self, mean, variance):
+        with pytest.raises(DomainError, match="finite"):
+            NormalSpec(mean, variance)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
             NormalSpec(0.0, -1.0)
@@ -90,6 +99,12 @@ class TestHellingerProduct:
             hellinger_sq_product([2.5])
         with pytest.raises(DomainError):
             hellinger_sq_product([-0.1])
+
+    def test_broken_subadditivity_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so it holds under python -O
+        monkeypatch.setattr(measures.np, "expm1", lambda x: -1.0)
+        with pytest.raises(NumericalError, match="subadditivity"):
+            hellinger_sq_product([0.1, 0.2])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=8))
