@@ -13,7 +13,6 @@ from .densities import affine, cosine, parse_spec, uniform
 from .equivalence import ChainBound, RateParams, choose_m, total_bound
 from .errors import DomainError, NumericalError, UsageError
 from .experiments import (
-    ExperimentId,
     ThetaVector,
     Trajectory,
     increments,

@@ -24,7 +24,7 @@ from .equivalence import choose_m
 from .errors import DomainError, NumericalError, UsageError
 from .experiments import load_samples, sample_iid
 from .harness import rate_sweep, run_suite, sig12
-from .kernels import bin_counts, counts_to_midpoint_sample, transport_batch
+from .kernels import transport_batch, transport_chain
 from .measures import (
     DistanceReport,
     NormalSpec,
@@ -232,6 +232,8 @@ def cmd_transport(args) -> int:
         args.m = choose_m(args.n, args.gamma)
     elif args.m is None:
         raise UsageError("give --m or --auto-m")
+    # --counts enters the same chain at its midpoint stage, on the same seed path
+    seed = substream_seq(args.seed, "chain")
     if args.counts is not None:
         try:
             counts = np.asarray([int(v) for v in args.counts.split(",")], dtype=int)
@@ -239,8 +241,10 @@ def cmd_transport(args) -> int:
             raise UsageError(f"bad counts vector {args.counts!r}") from None
         if counts.size != args.m:
             raise UsageError(f"counts vector must have m={args.m} entries")
-        mids = counts_to_midpoint_sample(counts, substream_seq(args.seed, "counts"))
-        ys = transport_batch(mids, args.m, substream_seq(args.seed, "tent"))
+        n = int(counts.sum())
+        if n < 1:
+            raise UsageError("transport needs at least one sample point")
+        ys = transport_chain(n, args.m).sample(counts, seed, start=1)
     else:
         if args.infile is not None:
             xs = load_samples(args.infile)
@@ -248,8 +252,9 @@ def cmd_transport(args) -> int:
                 raise UsageError(f"{args.infile}: sample values must lie in [0, 1]")
         else:
             xs = sample_iid(model, args.n, substream_seq(args.seed, "draw"))
-        bin_counts(xs, args.m)  # validates the domain before transporting
-        ys = transport_batch(xs, args.m, substream_seq(args.seed, "tent"))
+        if xs.size < 1:
+            raise UsageError("transport needs at least one sample point")
+        ys = transport_batch(xs, args.m, seed)
     _emit("".join(f"{v:.12g}\n" for v in np.asarray(ys).ravel()), args.out)
     return EXIT_OK
 
@@ -268,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--density", action="append", default=[], dest="pair_density",
         metavar="SPEC", help="builtin density spec (give twice)",
     )
-    d.add_argument("--metric", choices=_METRICS, default="hellinger-sq")
+    d.add_argument(
+        "--metric", choices=_METRICS, default="hellinger-sq",
+        help="tv and l1 integrate |f-g| (tv is half of l1); l2 prints the squared "
+        "L2 distance, the integral of (f-g)^2, not its square root",
+    )
     d.add_argument("--out", default="-")
     d.set_defaults(func=cmd_distance)
 
@@ -299,7 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default="-")
     v.set_defaults(func=cmd_verify)
 
-    t = sub.add_parser("transport", help="push a sample through the kernel chain")
+    t = sub.add_parser(
+        "transport",
+        help="push a sample through the kernel chain",
+        description="Run the kernel chain i.i.d. sample -> bin counts -> midpoint "
+        "sample -> tent draws and print its output, one value per line. The "
+        "output is the chain's uniformly ordered sample: value k is not the "
+        "image of input point k. --counts enters the chain at the midpoint "
+        "stage on the same seed path, so counts equal to a sample's bin counts "
+        "print the same values as that sample.",
+    )
     _add_class_args(t, "cosine:0.3")
     t.add_argument("--m", type=int, default=None, help="bin count")
     t.add_argument(

@@ -91,6 +91,26 @@ def _rate_mn(n, m, gamma):
     return np.sqrt(n) * (m**-1.5 + m ** -(1.0 + gamma))
 
 
+def _carter_mn(n, m, C_R):
+    m = np.asarray(m, dtype=float)
+    return C_R * m * np.log(m) / math.sqrt(n)
+
+
+def _carter_independent_mn(n, m, C_R):
+    return C_R * np.asarray(m, dtype=float) / math.sqrt(n)
+
+
+def _links(n, m, gamma, C_R) -> dict:
+    """ChainBound's four links, vectorized over the bin count m."""
+    reconstruction = _rate_mn(n, m, gamma)
+    return {
+        "density_multinomial": reconstruction,
+        "multinomial_gaussian": _carter_mn(n, m, C_R) + _carter_independent_mn(n, m, C_R),
+        "coords_increments": reconstruction,
+        "increments_white_noise": reconstruction,
+    }
+
+
 def bound_density_reconstruction(p: RateParams) -> float:
     """sqrt(n) (m^{-3/2} + m^{-1-gamma}), the reconstruction-link rate."""
     return float(_rate_mn(p.n, p.m, p.gamma))
@@ -98,12 +118,12 @@ def bound_density_reconstruction(p: RateParams) -> float:
 
 def bound_carter_multinomial(p: RateParams) -> float:
     """C_R m ln(m) / sqrt(n): multinomial vs. matched multivariate normal."""
-    return p.C_R * p.m * math.log(p.m) / math.sqrt(p.n)
+    return float(_carter_mn(p.n, p.m, p.C_R))
 
 
 def bound_carter_independent(p: RateParams) -> float:
     """C_R m / sqrt(n): correlated normal vs. independent-coordinate normal."""
-    return p.C_R * p.m / math.sqrt(p.n)
+    return float(_carter_independent_mn(p.n, p.m, p.C_R))
 
 
 def bound_gaussian_link(p: RateParams, f: DensityModel) -> float:
@@ -134,24 +154,20 @@ def total_bound(
     """All chain links evaluated at m (default: the tuning rule choose_m)."""
     m = choose_m(n, gamma) if m is None else m
     p = RateParams(n=n, m=m, gamma=gamma, C_R=C_R)
-    reconstruction = bound_density_reconstruction(p)
-    carter = bound_carter_multinomial(p) + bound_carter_independent(p)
-    return ChainBound(
-        density_multinomial=reconstruction,
-        multinomial_gaussian=carter,
-        coords_increments=reconstruction,
-        increments_white_noise=reconstruction,
-    )
+    links = _links(p.n, p.m, p.gamma, p.C_R)
+    return ChainBound(**{name: float(v) for name, v in links.items()})
 
 
 def total_bound_curve(n: int, gamma: float, C_R: float, m_values) -> np.ndarray:
-    """Vectorized chain totals over an array of bin counts."""
+    """Vectorized chain totals over an array of bin counts.
+
+    Sums the links in ``ChainBound``'s order, so each entry equals
+    ``total_bound(n, gamma, C_R, m).total`` bit for bit.
+    """
     m = np.asarray(m_values, dtype=float)
     if m.size and m.min() < 2:
         raise DomainError("bin counts must be >= 2")
-    reconstruction = _rate_mn(n, m, gamma)
-    carter = C_R * (m * np.log(m) + m) / math.sqrt(n)
-    return 3.0 * reconstruction + carter
+    return sum(_links(n, m, gamma, C_R).values())
 
 
 def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:

@@ -20,8 +20,6 @@ from .quadrature import cell_integrals
 from .rng import substream
 
 __all__ = [
-    "EXPERIMENT_KINDS",
-    "ExperimentId",
     "ThetaVector",
     "Trajectory",
     "default_grid_resolution",
@@ -38,56 +36,6 @@ __all__ = [
 def default_grid_resolution(m: int) -> int:
     """64 grid cells per bin keeps drift quadrature error far below the noise."""
     return 64 * m
-
-EXPERIMENT_KINDS = (
-    "iid-density",
-    "multinomial",
-    "midpoint",
-    "reconstructed",
-    "gaussian-coords",
-    "gaussian-increments",
-    "white-noise",
-)
-
-_BINNED_KINDS = frozenset(
-    {"multinomial", "midpoint", "reconstructed", "gaussian-coords", "gaussian-increments"}
-)
-
-
-@dataclass(frozen=True)
-class ExperimentId:
-    """A named member of the experiment chain with its size parameters."""
-
-    kind: str
-    n: int
-    m: int = 0
-    grid_resolution: int = 0
-
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise UsageError(f"unknown experiment kind {self.kind!r}")
-        if self.n < 1:
-            raise UsageError(f"n must be >= 1, got {self.n}")
-        if self.kind in _BINNED_KINDS and self.m < 2:
-            raise UsageError(f"{self.kind} needs m >= 2, got {self.m}")
-        if self.kind == "white-noise":
-            if self.grid_resolution < 1:
-                raise UsageError("white-noise needs grid_resolution >= 1")
-            if self.m and self.grid_resolution < self.m:
-                raise UsageError("grid_resolution must be >= m")
-
-    @property
-    def space(self) -> str:
-        """Sample-space descriptor used for kernel compatibility checks."""
-        if self.kind in ("iid-density", "reconstructed"):
-            return f"unit-interval^{self.n}"
-        if self.kind == "multinomial":
-            return f"counts[{self.m}](n={self.n})"
-        if self.kind == "midpoint":
-            return f"midpoints[{self.m}]^{self.n}"
-        if self.kind in ("gaussian-coords", "gaussian-increments"):
-            return f"reals^{self.m}"
-        return f"path[0,1]@{self.grid_resolution}"
 
 
 @dataclass(frozen=True)

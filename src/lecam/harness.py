@@ -25,10 +25,10 @@ from .errors import DomainError, UsageError
 from .experiments import sample_iid, sqrt_cell_means, theta_of
 from .kernels import (
     bin_counts,
-    brownian_bridge_paths,
     counts_to_midpoint_sample,
     tent_basis,
     transport_chain,
+    ystar_values,
 )
 from .measures import DensityModel, hellinger_sq_product, tv_sandwich
 from .rng import substream, substream_seq
@@ -251,8 +251,7 @@ def verify_ystar_moments(
     U = basis.cdf_matrix(times)  # (m, T)
 
     ybar = substream(seed, "increments").normal(loc=g, scale=sd, size=(R, m))
-    paths = brownian_bridge_paths(U, substream(seed, "bridges"), size=R)
-    ystar = ybar @ U + paths.sum(axis=1) * sd  # (R, T)
+    ystar = ystar_values(ybar, U, n, substream(seed, "bridges"))  # (R, T)
 
     z_scores: dict[str, float] = {}
     t_idx = {t: int(np.searchsorted(times, t)) for t in ts}
@@ -349,6 +348,13 @@ def verify_risk_transfer(
     applied to the exact product-rule H^2, which is the computable
     surrogate (<= sqrt(n) H(f, f_hat_m)) for the true TV.
 
+    ``rule`` maps an (R, n) array of samples to R actions and must be
+    symmetric in each row: the transferred route returns each row in cell
+    order, not in the uniformly random order of the kernel chain, so a
+    rule that reads the order would get a wrong risk.  The first block
+    compares the rule on its rows and on the reversed rows and raises
+    ``UsageError`` if they differ.
+
     Replications run in blocks of ``RISK_BLOCK``, each on its own named
     substreams, so memory stays flat as ``replications`` grows.  ``map``
     schedules the blocks (``pool.map`` runs them on a thread pool); their
@@ -383,7 +389,10 @@ def verify_risk_transfer(
         mid_idx = np.repeat(np.tile(np.arange(m), size), counts.ravel()).reshape(size, n)
         us = substream(seed, "tent", "block", b).uniform(size=(size, n))
         ys = basis.ppf_indexed(mid_idx, us)
-        source = checked_moments(problem.loss(theta_true, rule(ys)))
+        actions = rule(ys)
+        if b == 0 and not np.allclose(actions, rule(ys[:, ::-1])):
+            raise UsageError("rule reads the order of its samples; it must be symmetric")
+        source = checked_moments(problem.loss(theta_true, actions))
         return target, source
 
     blocks = list(map(block, range(-(-R // RISK_BLOCK))))

@@ -10,7 +10,7 @@ randomizations between experiments.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "transport_chain",
     "transport_batch",
     "brownian_bridge_paths",
+    "ystar_values",
     "synthesize_ystar",
 ]
 
@@ -172,49 +173,60 @@ def tent_basis(m: int) -> TentBasis:
 class MarkovKernel:
     """A randomization between two sample spaces.
 
-    ``sample(x, seed)`` is deterministic given its seed.  ``vectorized``
-    kernels accept an array of i.i.d. inputs in one call, which product
-    kernels exploit.  ``pushforward_density`` maps an input law to the
-    output law where that is available in closed form.  Composites carry
-    their flattened ``stages`` so that composition associates exactly on
-    sampled outputs, not just in law.
+    ``sample(x, seed)`` is deterministic given its seed and maps the last
+    axis of ``x``; leading axes are replications.  ``pushforward_density``
+    maps an input law to the output law where that is available in closed
+    form.  Composites carry their flattened ``stages`` so that composition
+    associates exactly on sampled outputs, not just in law.
     """
 
     source: Space
     target: Space
     sample: Callable
     pushforward_density: Callable | None = None
-    vectorized: bool = False
     label: str = ""
     stages: tuple = ()
 
 
 def bin_counts(sample, m: int) -> np.ndarray:
-    """Occupancy counts of the cells J_i = [(i-1)/m, i/m]."""
+    """Occupancy counts of the cells J_i = [(i-1)/m, i/m] along the last axis.
+
+    Maps shape (..., n) to (..., m); each leading index is one replication.
+    """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
-    xs = np.asarray(sample, dtype=float).ravel()
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    xs = np.asarray(sample, dtype=float)
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("sample points must lie in [0, 1]")
     idx = np.minimum((xs * m).astype(int), m - 1)
-    return np.bincount(idx, minlength=m)
+    lead = idx.shape[:-1]
+    # row r counts into bins r*m .. r*m + m - 1 of one flat bincount
+    offsets = m * np.arange(math.prod(lead)).reshape(lead + (1,))
+    counts = np.bincount((idx + offsets).ravel(), minlength=math.prod(lead) * m)
+    return counts.reshape(lead + (m,))
 
 
 def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
-    """Uniformly ordered multiset with counts[i] copies of each midpoint.
+    """Uniformly ordered multiset with counts[..., i] copies of each midpoint.
 
     This is the sufficiency inverse of binning: applied to multinomial
     counts it reproduces n i.i.d. draws of the midpoint-supported law.
+    Maps shape (..., m) to (..., n); every row must hold the same total n,
+    and each row is shuffled on its own.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size < 1:
-        raise UsageError("counts must be a 1-d vector")
+    if counts.ndim < 1 or counts.size < 1:
+        raise UsageError("counts must be a nonempty vector per replication")
     if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
         raise UsageError("counts must be nonnegative integers")
-    m = counts.size
+    totals = counts.sum(axis=-1)
+    if np.any(totals != totals.flat[0]):
+        raise UsageError("every replication's counts must have the same total")
+    m = counts.shape[-1]
     midpoints = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
-    pts = np.repeat(midpoints, counts)
-    return substream(seed, "perm").permutation(pts)
+    pts = np.repeat(np.broadcast_to(midpoints, counts.shape).ravel(), counts.ravel())
+    pts = pts.reshape(counts.shape[:-1] + (int(totals.flat[0]),))
+    return substream(seed, "perm").permuted(pts, axis=-1)
 
 
 def identity_kernel(space: Space) -> MarkovKernel:
@@ -223,7 +235,6 @@ def identity_kernel(space: Space) -> MarkovKernel:
         target=space,
         sample=lambda x, seed: x,
         pushforward_density=lambda law: law,
-        vectorized=True,
         label="identity",
     )
 
@@ -233,8 +244,8 @@ def binning_kernel(n: int, m: int) -> MarkovKernel:
 
     def sample(xs, seed):
         xs = np.asarray(xs, dtype=float)
-        if xs.size != n:
-            raise UsageError(f"expected {n} points, got {xs.size}")
+        if xs.ndim < 1 or xs.shape[-1] != n:
+            raise UsageError(f"expected {n} points, got shape {xs.shape}")
         return bin_counts(xs, m)
 
     return MarkovKernel(
@@ -250,10 +261,10 @@ def midpoint_kernel(n: int, m: int) -> MarkovKernel:
 
     def sample(counts, seed):
         counts = np.asarray(counts)
-        if counts.sum() != n:
-            raise UsageError(f"counts must sum to {n}, got {counts.sum()}")
-        if counts.size != m:
-            raise UsageError(f"expected {m} cells, got {counts.size}")
+        if counts.ndim < 1 or counts.shape[-1] != m:
+            raise UsageError(f"expected {m} cells, got shape {counts.shape}")
+        if np.any(counts.sum(axis=-1) != n):
+            raise UsageError(f"counts must sum to {n}")
         return counts_to_midpoint_sample(counts, seed)
 
     return MarkovKernel(
@@ -294,73 +305,63 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
         target=unit_interval_space(1),
         sample=sample,
         pushforward_density=pushforward,
-        vectorized=True,
         label=f"tent[{m}]",
     )
 
 
-def _merge_spaces(spaces: Sequence[Space]) -> Space:
-    bases = {s[0] for s in spaces}
-    if len(bases) == 1:
-        return (spaces[0][0], sum(s[1] for s in spaces))
-    return (" (x) ".join(s[0] for s in spaces), 1)
+def product_kernel(kernel: MarkovKernel, n: int) -> MarkovKernel:
+    """The i.i.d. power kernel^n: n coordinates with independent randomness.
 
-
-def product_kernel(kernels: Sequence[MarkovKernel]) -> MarkovKernel:
-    """Coordinatewise action with independent randomness per coordinate.
-
-    The pushforward of a product law is the product of the component
-    pushforwards.  When every component is the same vectorized kernel the
-    whole coordinate block is sampled in one call from a single derived
-    stream; otherwise each coordinate gets its own named substream.
+    ``kernel`` must act elementwise on arrays, so the last axis of n
+    coordinates is sampled in one call from a single derived stream.  The
+    pushforward of a product law is the product of the component
+    pushforwards.
     """
-    kernels = list(kernels)
-    if not kernels:
+    if n < 1:
         raise UsageError("product of zero kernels")
-    if len(kernels) == 1:
-        return kernels[0]
-    identical = all(k is kernels[0] for k in kernels)
-    arity = len(kernels)
+    if n == 1:
+        return kernel
 
     def sample(xs, seed):
         xs = np.asarray(xs)
-        if xs.shape[0] != arity:
-            raise UsageError(f"expected {arity} coordinates, got {xs.shape[0]}")
-        if identical and kernels[0].vectorized:
-            return kernels[0].sample(xs, substream_seq(seed, "coords"))
-        return np.asarray(
-            [k.sample(xs[i], substream_seq(seed, i)) for i, k in enumerate(kernels)]
-        )
+        if xs.ndim < 1 or xs.shape[-1] != n:
+            raise UsageError(f"expected {n} coordinates, got shape {xs.shape}")
+        return kernel.sample(xs, substream_seq(seed, "coords"))
 
     pushforward = None
-    if all(k.pushforward_density is not None for k in kernels):
+    if kernel.pushforward_density is not None:
 
         def pushforward(laws):
-            if len(laws) != arity:
-                raise UsageError(f"expected {arity} component laws")
-            return [k.pushforward_density(law) for k, law in zip(kernels, laws)]
+            if len(laws) != n:
+                raise UsageError(f"expected {n} component laws")
+            return [kernel.pushforward_density(law) for law in laws]
 
+    (source, k_in), (target, k_out) = kernel.source, kernel.target
     return MarkovKernel(
-        source=_merge_spaces([k.source for k in kernels]),
-        target=_merge_spaces([k.target for k in kernels]),
+        source=(source, n * k_in),
+        target=(target, n * k_out),
         sample=sample,
         pushforward_density=pushforward,
-        vectorized=False,
-        label=f"product[{arity}]",
+        label=f"product[{n}]",
     )
 
 
 def compose(k1: MarkovKernel, k2: MarkovKernel) -> MarkovKernel:
-    """k2 after k1, with an independent seed per flattened stage."""
+    """k2 after k1, with an independent seed per flattened stage.
+
+    The composite's ``sample(x, seed, start=k)`` enters at stage k on the
+    same seed path, so a caller holding stage k's input gets exactly the
+    values the full composite would produce from that point on.
+    """
     if k1.target != k2.source:
         raise UsageError(
             f"cannot compose: target {k1.target} != source {k2.source}"
         )
     stages = (k1.stages or (k1,)) + (k2.stages or (k2,))
 
-    def sample(x, seed):
-        for i, stage in enumerate(stages):
-            x = stage.sample(x, substream_seq(seed, "stage", i))
+    def sample(x, seed, start=0):
+        for i in range(start, len(stages)):
+            x = stages[i].sample(x, substream_seq(seed, "stage", i))
         return x
 
     pushforward = None
@@ -382,27 +383,22 @@ def compose(k1: MarkovKernel, k2: MarkovKernel) -> MarkovKernel:
 
 
 def transport_chain(n: int, m: int) -> MarkovKernel:
-    """The full randomization i.i.d. f -> counts -> midpoints -> i.i.d. f_hat."""
-    recon = reconstruction_kernel(m)
+    """The full randomization i.i.d. f -> counts -> midpoints -> i.i.d. f_hat.
+
+    Stage 0 bins, stage 1 draws the uniformly ordered midpoint sample and
+    stage 2 replaces each midpoint by a tent draw; the output's order is
+    the midpoint shuffle's, not the input's.
+    """
     return compose(
         binning_kernel(n, m),
-        compose(midpoint_kernel(n, m), product_kernel([recon] * n)),
+        compose(midpoint_kernel(n, m), product_kernel(reconstruction_kernel(m), n)),
     )
 
 
 def transport_batch(samples, m: int, seed) -> np.ndarray:
-    """Law-equal fast path of ``transport_chain`` for replication sweeps.
-
-    Snapping each point to its cell midpoint and drawing from the matching
-    tent density produces i.i.d. output with the same law as the kernel
-    chain (binning only forgets the within-cell positions, which the
-    midpoint stage never looks at).  Accepts (n,) or (reps, n) arrays.
-    """
+    """``transport_chain`` sized to the last axis of ``samples``, sampled once."""
     xs = np.asarray(samples, dtype=float)
-    basis = tent_basis(m)
-    idx = np.minimum((xs * m).astype(int), m - 1)
-    u = substream(seed, "transport").uniform(size=xs.shape)
-    return basis.ppf_indexed(idx, u)
+    return transport_chain(xs.shape[-1], m).sample(xs, seed)
 
 
 def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -435,21 +431,27 @@ def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
-def synthesize_ystar(
-    increments,
-    n: int,
-    seed,
-    grid_resolution: int,
-    *,
-    shared_bridge: bool = False,
-) -> Trajectory:
+def ystar_values(ybar, U, n: int, rng: np.random.Generator) -> np.ndarray:
+    """y*_t = sum_i Ybar_i U_i(t) + (2 sqrt(nm))^{-1} sum_i B^i(U_i(t)).
+
+    ``U`` holds the tent CDFs U_i(t) = int_0^t V_i at the observation
+    times, shape (m, T); ``ybar`` has shape (..., m), one row of interval
+    increments per replication, and each row gets its own m independent
+    standard Brownian bridges.  Returns shape (..., T).
+    """
+    ybar = np.asarray(ybar, dtype=float)
+    m = ybar.shape[-1]
+    lead = ybar.shape[:-1]
+    paths = brownian_bridge_paths(U, rng, math.prod(lead))  # (reps, m, T)
+    bridge_sum = paths.sum(axis=1).reshape(lead + (U.shape[-1],))
+    return ybar @ U + bridge_sum * (1.0 / (2.0 * math.sqrt(n * m)))
+
+
+def synthesize_ystar(increments, n: int, seed, grid_resolution: int) -> Trajectory:
     """Reassemble a white-noise-style trajectory from interval increments.
 
-    y*_t = sum_i Ybar_i int_0^t V_i + (2 sqrt(nm))^{-1} sum_i B_i(t) with
-    B_i(t) = B^i(int_0^t V_i) run over independent standard Brownian
-    bridges.  ``shared_bridge=True`` reuses one bridge for every
-    coordinate; that variant is kept only for comparison and does not
-    satisfy the t/(4n) variance identity.
+    ``ystar_values`` on the uniform grid of ``grid_resolution`` steps, with
+    the bridges drawn from ``substream(seed, "ystar")``.
     """
     ybar = np.asarray(increments, dtype=float).ravel()
     m = ybar.size
@@ -459,19 +461,8 @@ def synthesize_ystar(
         raise UsageError("grid_resolution must be >= m")
     if n < 1:
         raise UsageError("n must be >= 1")
-    basis = tent_basis(m)
     t = np.arange(grid_resolution + 1, dtype=float) / grid_resolution
-    U = basis.cdf_matrix(t)  # (m, T)
-    mean_part = ybar @ U
-    rng = substream(seed, "ystar")
-    if shared_bridge:
-        u_all = np.unique(U.ravel())
-        path = brownian_bridge_paths(u_all[None, :], rng, 1)[0, 0]
-        lookup = np.searchsorted(u_all, U)
-        bridge_sum = path[lookup].sum(axis=0)
-    else:
-        paths = brownian_bridge_paths(U, rng, 1)[0]  # (m, T)
-        bridge_sum = paths.sum(axis=0)
-    values = mean_part + bridge_sum / (2.0 * math.sqrt(n * m))
+    U = tent_basis(m).cdf_matrix(t)  # (m, T)
+    values = ystar_values(ybar, U, n, substream(seed, "ystar"))
     values = values - values[0]  # pin y*_0 = 0 exactly against float fuzz
     return Trajectory(times=t, values=values)

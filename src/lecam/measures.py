@@ -149,12 +149,6 @@ class DiscreteLaw:
     def masses(self) -> np.ndarray:
         return np.asarray([m for _, m in self.atoms], dtype=float)
 
-    def mass_at(self, point: float) -> float:
-        for p, m in self.atoms:
-            if p == point:
-                return m
-        return 0.0
-
 
 _METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
 _METHODS = ("closed_form", "quadrature", "monte_carlo")
@@ -254,11 +248,18 @@ def hellinger_sq_quadrature(
     return max(value, 0.0), err
 
 
+def _masses_on_union(a: DiscreteLaw, b: DiscreteLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Both laws' masses on the sorted union of their supports (0 off-support)."""
+    pts = np.union1d(a.points, b.points)
+    pa, pb = np.zeros(pts.size), np.zeros(pts.size)
+    pa[np.searchsorted(pts, a.points)] = a.masses
+    pb[np.searchsorted(pts, b.points)] = b.masses
+    return pa, pb
+
+
 def hellinger_sq_discrete(a: DiscreteLaw, b: DiscreteLaw) -> float:
     """Exact squared Hellinger distance over the union of finite supports."""
-    pts = np.union1d(a.points, b.points)
-    pa = np.asarray([a.mass_at(p) for p in pts])
-    pb = np.asarray([b.mass_at(p) for p in pts])
+    pa, pb = _masses_on_union(a, b)
     return float(((np.sqrt(pa) - np.sqrt(pb)) ** 2).sum())
 
 
@@ -272,9 +273,7 @@ def tv_sandwich(h_sq: float) -> tuple[float, float]:
 
 def tv_discrete(a: DiscreteLaw, b: DiscreteLaw) -> float:
     """Exact total variation (half L1) between finite laws."""
-    pts = np.union1d(a.points, b.points)
-    pa = np.asarray([a.mass_at(p) for p in pts])
-    pb = np.asarray([b.mass_at(p) for p in pts])
+    pa, pb = _masses_on_union(a, b)
     return float(0.5 * np.abs(pa - pb).sum())
 
 

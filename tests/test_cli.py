@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import lecam.cli
+import lecam.harness
+import lecam.kernels
 from lecam.cli import _normal_crossings, main
-from lecam.experiments import load_samples
+from lecam.densities import cosine
+from lecam.experiments import load_samples, sample_iid, save_samples
+from lecam.harness import verify_transport
+from lecam.kernels import bin_counts, transport_chain
 from lecam.measures import NormalSpec
+from lecam.rng import substream_seq
 
 
 def run(argv, capsys):
@@ -306,6 +313,49 @@ class TestTransport:
         assert run(
             ["transport", "--auto-m", "--counts", "1,1", "--seed", "3"], capsys
         )[0] == 2
+
+    def test_in_and_counts_print_the_chains_values(self, tmp_path, capsys):
+        # --in prints transport_chain's sample of the file, and --counts with the
+        # file's bin counts enters the same chain at its midpoint stage on the
+        # same seed path, so it prints the same bytes
+        m, seed = 8, 11
+        sample = tmp_path / "in.txt"
+        save_samples(sample, sample_iid(cosine([0.3]), 300, 4))
+        xs = load_samples(sample)
+        ys = transport_chain(xs.size, m).sample(xs, substream_seq(seed, "chain"))
+        want = "".join(f"{v:.12g}\n" for v in ys)
+        argv = ["transport", "--m", str(m), "--seed", str(seed)]
+        assert run(argv + ["--in", str(sample)], capsys) == (0, want, "")
+        counts = ",".join(str(c) for c in bin_counts(xs, m))
+        assert run(argv + ["--counts", counts], capsys) == (0, want, "")
+
+    def test_cli_and_verify_transport_build_the_same_chain(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        original = lecam.kernels.transport_chain
+
+        def spy(n, m):
+            built.append((n, m))
+            return original(n, m)
+
+        for module in (lecam.kernels, lecam.harness, lecam.cli):
+            monkeypatch.setattr(module, "transport_chain", spy)
+        verify_transport(cosine([0.3]), n=500, m=8, seed=1)
+        sample = tmp_path / "in.txt"
+        sample.write_text("0.1\n0.4\n0.9\n")
+        argv = ["transport", "--m", "4", "--seed", "3"]
+        assert run(argv + ["--in", str(sample)], capsys)[0] == 0
+        assert run(argv + ["--counts", "1,1,0,1"], capsys)[0] == 0
+        assert run(argv[:3] + ["--n", "20"] + argv[3:], capsys)[0] == 0
+        assert built == [(500, 8), (3, 4), (3, 4), (20, 4)]
+
+    def test_empty_sample_exits_2(self, tmp_path, capsys):
+        sample = tmp_path / "empty.txt"
+        sample.write_text("")
+        argv = ["transport", "--m", "4", "--seed", "3"]
+        assert run(argv + ["--in", str(sample)], capsys)[0] == 2
+        assert run(argv + ["--counts", "0,0,0,0"], capsys)[0] == 2
 
     def test_m_required_without_auto(self, capsys):
         code, _, _ = run(["transport", "--n", "5", "--seed", "3"], capsys)

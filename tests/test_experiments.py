@@ -7,7 +7,6 @@ from scipy import stats
 from lecam.densities import affine, cosine, uniform
 from lecam.errors import DomainError, UsageError
 from lecam.experiments import (
-    ExperimentId,
     ThetaVector,
     Trajectory,
     increments,
@@ -21,27 +20,6 @@ from lecam.experiments import (
 from lecam.rng import substream_seq
 
 COSINE = cosine([0.3])
-
-
-class TestExperimentId:
-    def test_spaces(self):
-        assert ExperimentId("iid-density", n=10).space == "unit-interval^10"
-        assert ExperimentId("multinomial", n=10, m=4).space == "counts[4](n=10)"
-        assert ExperimentId("midpoint", n=10, m=4).space == "midpoints[4]^10"
-        assert (
-            ExperimentId("white-noise", n=10, grid_resolution=64).space
-            == "path[0,1]@64"
-        )
-
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            ExperimentId("bogus", n=1)
-        with pytest.raises(UsageError):
-            ExperimentId("iid-density", n=0)
-        with pytest.raises(UsageError):
-            ExperimentId("multinomial", n=5, m=1)
-        with pytest.raises(UsageError):
-            ExperimentId("white-noise", n=5, m=8, grid_resolution=4)
 
 
 class TestThetaOf:

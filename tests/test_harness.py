@@ -143,6 +143,16 @@ class TestRiskTransfer:
         assert report.passed
         assert report.statistic == pytest.approx(0.0, abs=1e-12)
 
+    def test_order_reading_rule_is_rejected(self):
+        # the transferred route returns rows in cell order, so this rule would
+        # get a risk of about 0.74 against 0.07 instead of an error
+        first_is_small = lambda rows: (rows[:, :1] <= 1 / 16).mean(axis=1)
+        with pytest.raises(UsageError):
+            verify_risk_transfer(
+                theta1_problem(16), COSINE, n=1_000, m=16,
+                replications=2_000, seed=3, rule=first_is_small,
+            )
+
 
 class TestRiskTransferBlocks:
     R = 12 * RISK_BLOCK + 34  # the last block is short
