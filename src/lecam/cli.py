@@ -4,9 +4,9 @@ Subcommands: ``distance`` (closed-form / quadrature distances between two
 laws), ``sweep`` (rate sweeps along the bin tuning rule, CSV or JSON),
 ``verify`` (the Monte Carlo verification suite as JSON lines), and
 ``transport`` (push a sample through the full kernel chain).  Exit codes:
-0 success, 1 a verification check failed, 2 usage error, 3 numerical
-failure.  Identical (config, seed) pairs produce byte-identical output
-regardless of the parallel degree.
+0 success, 1 a verification check failed, 2 usage error (including a path
+that cannot be read or written), 3 numerical failure.  Identical (config,
+seed) pairs produce byte-identical output regardless of the parallel degree.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import numpy as np
 from .densities import parse_spec
 from .equivalence import choose_m
 from .errors import DomainError, NumericalError, UsageError
-from .experiments import load_samples, sample_iid
+from .experiments import format_samples, load_samples, sample_iid
 from .harness import rate_sweep, run_suite, sig12
 from .kernels import transport_batch, transport_chain
 from .measures import (
+    METRICS,
     DistanceReport,
     NormalSpec,
     hellinger_sq_normal,
@@ -40,8 +41,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -53,6 +52,13 @@ def _emit(text: str, out: str) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _seed(text: str) -> int:
+    """A seed is a non-negative integer, as numpy's SeedSequence requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_model(args):
@@ -255,7 +261,7 @@ def cmd_transport(args) -> int:
         if xs.size < 1:
             raise UsageError("transport needs at least one sample point")
         ys = transport_batch(xs, args.m, seed)
-    _emit("".join(f"{v:.12g}\n" for v in np.asarray(ys).ravel()), args.out)
+    _emit(format_samples(ys), args.out)
     return EXIT_OK
 
 
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC", help="builtin density spec (give twice)",
     )
     d.add_argument(
-        "--metric", choices=_METRICS, default="hellinger-sq",
+        "--metric", choices=METRICS, default="hellinger-sq",
         help="tv and l1 integrate |f-g| (tv is half of l1); l2 prints the squared "
         "L2 distance, the integral of (f-g)^2, not its square root",
     )
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="rate sweep along the bin tuning rule")
     _add_class_args(s, "cosine:0.3")
     s.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_sweep)
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grows with --reps). Exit 0 iff every check passes.",
     )
     _add_class_args(v, "cosine:0.3")
-    v.add_argument("--seed", type=int, required=True)
+    v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--reps", type=int, default=10_000)
     v.add_argument("--negative-control", action="store_true")
     v.add_argument("--parallel", type=int, default=1, metavar="N")
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=None, help="generate an i.i.d. sample")
     t.add_argument("--in", dest="infile", default=None, help="read a sample file")
     t.add_argument("--counts", default=None, help="comma-separated counts vector")
-    t.add_argument("--seed", type=int, required=True)
+    t.add_argument("--seed", type=_seed, required=True)
     t.add_argument("--out", default="-")
     t.set_defaults(func=cmd_transport)
     return parser
@@ -338,7 +344,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
+        # OSError: an --in file that cannot be read or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -28,6 +28,7 @@ __all__ = [
     "sample_iid",
     "sample_white_noise",
     "increments",
+    "format_samples",
     "save_samples",
     "load_samples",
 ]
@@ -185,12 +186,17 @@ def increments(traj: Trajectory, m: int) -> np.ndarray:
     return np.diff(marks)
 
 
-def save_samples(path, values) -> None:
-    """One value per line, 12 significant digits."""
+def format_samples(values) -> str:
+    """The sample-file format: one value per line, 12 significant digits."""
     values = np.asarray(values, dtype=float).ravel()
+    # one %-pass over Python floats: faster and leaner than a per-value f-string
+    return ("%.12g\n" * values.size) % tuple(values.tolist())
+
+
+def save_samples(path, values) -> None:
+    """Write ``values`` to ``path`` in the sample-file format."""
     with open(path, "w") as fh:
-        for v in values:
-            fh.write(f"{v:.12g}\n")
+        fh.write(format_samples(values))
 
 
 def load_samples(path) -> np.ndarray:

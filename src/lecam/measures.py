@@ -22,6 +22,7 @@ __all__ = [
     "NormalSpec",
     "DiscreteLaw",
     "DistanceReport",
+    "METRICS",
     "hellinger_sq_normal",
     "hellinger_sq_product",
     "hellinger_sq_quadrature",
@@ -150,7 +151,7 @@ class DiscreteLaw:
         return np.asarray([m for _, m in self.atoms], dtype=float)
 
 
-_METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
+METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
 _METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 
@@ -165,7 +166,7 @@ class DistanceReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.metric not in _METRICS:
+        if self.metric not in METRICS:
             raise DomainError(f"unknown metric {self.metric!r}")
         if self.method not in _METHODS:
             raise DomainError(f"unknown method {self.method!r}")
@@ -220,7 +221,6 @@ def _as_pdf(obj) -> Callable:
 def hellinger_sq_quadrature(
     f,
     g,
-    panels: int = 16,
     *,
     domain: tuple[float, float] = (0.0, 1.0),
     knots=None,
@@ -228,11 +228,10 @@ def hellinger_sq_quadrature(
     """Squared Hellinger distance by composite quadrature of (sqrt f - sqrt g)^2.
 
     Returns ``(value, abs_error)`` with the error taken from panel
-    refinement.  ``knots`` should list kink locations (cell edges and
+    refinement, starting from 16 panels per cell; a refinement that reaches
+    the panel cap raises NumericalError.  ``knots`` should list kink locations (cell edges and
     midpoints for piecewise-linear reconstructions) so panels align.
     """
-    if panels < 2:
-        raise DomainError("panels must be >= 2")
     fp, gp = _as_pdf(f), _as_pdf(g)
 
     def integrand(x):
@@ -242,9 +241,7 @@ def hellinger_sq_quadrature(
             raise DomainError("negative density values in Hellinger quadrature")
         return (np.sqrt(np.clip(fv, 0.0, None)) - np.sqrt(np.clip(gv, 0.0, None))) ** 2
 
-    value, err = integrate(
-        integrand, domain[0], domain[1], knots=knots, panels=panels
-    )
+    value, err = integrate(integrand, domain[0], domain[1], knots=knots, panels=16)
     return max(value, 0.0), err
 
 

@@ -113,6 +113,13 @@ class TestDistance:
         assert out == ""
         assert "finite" in err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.json"
+        argv = ["distance", "--normal", "0,1", "--normal", "1,1", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_needs_exactly_two_specs(self, capsys):
         code, _, _ = run(["distance", "--normal", "0,1"], capsys)
         assert code == 2
@@ -223,6 +230,20 @@ class TestVerify:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["sweep", "--n-grid", "1024,2048,4096,8192"],
+            ["transport", "--n", "5", "--m", "2"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "-3"])
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_class_params_exit_2(self, capsys):
         code, _, err = run(
             ["verify", "--seed", "1", "--eps", "2", "--M", "1"], capsys
@@ -328,6 +349,26 @@ class TestTransport:
         assert run(argv + ["--in", str(sample)], capsys) == (0, want, "")
         counts = ",".join(str(c) for c in bin_counts(xs, m))
         assert run(argv + ["--counts", counts], capsys) == (0, want, "")
+
+    def test_output_is_a_sample_file(self, tmp_path, capsys):
+        m, seed = 8, 5
+        sample = tmp_path / "in.txt"
+        save_samples(sample, sample_iid(cosine([0.3]), 500, 2))
+        xs = load_samples(sample)
+        ys = transport_chain(xs.size, m).sample(xs, substream_seq(seed, "chain"))
+        want = tmp_path / "want.txt"
+        save_samples(want, ys)
+        out = tmp_path / "out.txt"
+        argv = ["transport", "--m", str(m), "--seed", str(seed), "--in", str(sample)]
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        argv = ["transport", "--m", "4", "--in", str(missing), "--seed", "1"]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_cli_and_verify_transport_build_the_same_chain(
         self, tmp_path, capsys, monkeypatch

@@ -10,6 +10,7 @@ from lecam.experiments import (
     ThetaVector,
     Trajectory,
     increments,
+    format_samples,
     load_samples,
     sample_iid,
     sample_white_noise,
@@ -194,6 +195,11 @@ class TestSerialization:
         save_samples(path, xs)
         back = load_samples(path)
         assert back == pytest.approx(xs, abs=1e-10)
+
+    def test_samples_format_matches_per_value_fstring(self):
+        values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e300, 123456789012345.0, np.nan, -np.inf]
+        assert format_samples(np.array(values)) == "".join(f"{v:.12g}\n" for v in values)
+        assert format_samples(np.array([])) == ""
 
     def test_samples_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -142,11 +142,6 @@ class TestQuadratureDistance:
         with pytest.raises(DomainError):
             hellinger_sq_quadrature(f, g)
 
-    def test_panel_floor(self):
-        f = lambda x: np.ones_like(x)
-        with pytest.raises(DomainError):
-            hellinger_sq_quadrature(f, f, panels=1)
-
 
 class TestTvSandwich:
     def test_endpoints(self):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from lecam.errors import NumericalError, UsageError
-from lecam.quadrature import cell_integrals, integrate, simpson_fixed
+from lecam.quadrature import cell_integrals, integrate
 
 
 def test_simpson_exact_for_cubics():
     # Simpson integrates polynomials up to degree 3 exactly
-    val = simpson_fixed(lambda x: x**3, 0.0, 1.0, panels=1)
+    val, err = integrate(lambda x: x**3, 0.0, 1.0, panels=1)
     assert val == pytest.approx(0.25, abs=1e-15)
+    assert err < 1e-15
 
 
 def test_integrate_smooth():
@@ -36,19 +37,35 @@ def test_integrate_inverted_bounds():
         integrate(np.cos, 1.0, 0.0)
 
 
-def test_integrate_strict_raises_on_cap():
-    f = lambda x: np.abs(x - 1.0 / math.pi)
-    with pytest.raises(NumericalError):
-        integrate(f, 0.0, 1.0, tol=1e-15, panel_cap=64, strict=True)
+def test_integrate_knots_make_piecewise_quadratics_exact():
+    # a continuous piecewise quadratic with 40 kinks, each on a knot: Simpson
+    # is exact on every cell, so the first refinement already agrees
+    rng = np.random.default_rng(5)
+    kinks = np.sort(rng.uniform(0.0, 1.0, 40))
+    coefs = rng.normal(size=kinks.size)
+
+    def f(x):
+        # x^2 plus a sum of hinge terms |x - t| * (x - t), each a kink at t
+        return x**2 + sum(c * np.abs(x - t) * (x - t) for c, t in zip(coefs, kinks))
+
+    def primitive(x):
+        return x**3 / 3.0 + sum(
+            c * np.sign(x - t) * (x - t) ** 3 / 3.0 for c, t in zip(coefs, kinks)
+        )
+
+    val, err = integrate(f, 0.0, 1.0, knots=kinks, tol=1e-12)
+    assert val == pytest.approx(primitive(1.0) - primitive(0.0), abs=1e-14)
+    assert err < 1e-12
 
 
-def test_integrate_nonstrict_reports_error():
-    f = lambda x: np.abs(x - 1.0 / math.pi)
-    val, err = integrate(f, 0.0, 1.0, tol=1e-15, panel_cap=64)
-    assert err > 0.0
-    assert val == pytest.approx(
-        (1.0 / math.pi) ** 2 / 2.0 + (1.0 - 1.0 / math.pi) ** 2 / 2.0, abs=1e-4
-    )
+def test_both_entry_points_raise_at_the_panel_cap():
+    # a jump at 1/pi lies on no dyadic panel edge, so the deltas shrink only
+    # like 1/panels and tol=1e-15 is out of reach below PANEL_CAP
+    f = lambda x: (x > 1.0 / math.pi).astype(float)
+    with pytest.raises(NumericalError, match="did not reach tol"):
+        integrate(f, 0.0, 1.0, tol=1e-15)
+    with pytest.raises(NumericalError, match="did not reach tol"):
+        cell_integrals(f, np.linspace(0.0, 1.0, 5), tol=1e-15)
 
 
 def test_cell_integrals_constant():
