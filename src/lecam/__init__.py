@@ -8,7 +8,7 @@ toolbox, approximation bounds, and a Monte Carlo harness that verifies the
 advertised identities and rates at desk scale.
 """
 
-from .approx import ErrorBreakdown, PiecewiseLinearDensity, hellinger_bound, reconstruct
+from .approx import ErrorBreakdown, hellinger_bound, reconstruct
 from .densities import affine, cosine, parse_spec, uniform
 from .equivalence import ChainBound, RateParams, choose_m, total_bound
 from .errors import DomainError, NumericalError, UsageError
@@ -38,6 +38,7 @@ from .measures import (
     DiscreteLaw,
     DistanceReport,
     NormalSpec,
+    PiecewiseLinearDensity,
     hellinger_sq_normal,
     hellinger_sq_product,
     hellinger_sq_quadrature,

@@ -1,86 +1,45 @@
-"""Piecewise-linear reconstruction of a density and its error bounds.
+"""Errors of the piecewise-linear reconstruction of a density.
 
 The reconstruction f_hat_m = sum_j theta_j V_j interpolates the scaled
 cell probabilities m * theta_j at the cell midpoints and is flat on the
-two boundary half-cells.  The module measures the L2 and Hellinger errors
-of the reconstruction and the Taylor remainders that drive their rates.
+two boundary half-cells.  It is the law that the tent reconstruction
+kernel pushes the midpoint law forward to; this module measures its L2
+and Hellinger errors and the Taylor remainders that drive their rates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError
 from .experiments import theta_of
-from .kernels import tent_basis
-from .measures import DensityModel, hellinger_sq_quadrature
+from .kernels import reconstruction_kernel, tent_basis
+from .measures import (
+    DensityModel,
+    DiscreteLaw,
+    PiecewiseLinearDensity,
+    hellinger_sq_quadrature,
+)
 from .quadrature import integrate
 
 __all__ = [
-    "PiecewiseLinearDensity",
     "ErrorBreakdown",
     "reconstruct",
     "l2_error_sq",
     "hellinger_bound",
     "remainder_sup",
-    "boundary_l2_contribution",
-    "sqrt_class_params",
 ]
 
 REMAINDER_GRID = 1024  # evaluation points per cell for remainder suprema
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearDensity:
-    """A density that is linear between the knots 0, x_1*, ..., x_m*, 1."""
-
-    m: int
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        if knots.shape != values.shape or knots.ndim != 1:
-            raise UsageError("knots and values must be matching 1-d arrays")
-        if values.min() < 0.0:
-            raise DomainError(f"negative reconstruction value {values.min():g}")
-        total = self.integral()
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"reconstruction integrates to {total:.15g}, not 1")
-
-    def pdf(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
-
-    def integral(self) -> float:
-        """Exact integral (trapezoid rule is exact for piecewise-linear)."""
-        return float(np.trapezoid(self.values, self.knots))
-
-    def cdf(self, x) -> np.ndarray:
-        """Exact piecewise-quadratic distribution function."""
-        x = np.asarray(x, dtype=float)
-        seg_mass = np.diff(self.knots) * (self.values[1:] + self.values[:-1]) / 2.0
-        cum = np.concatenate([[0.0], np.cumsum(seg_mass)])
-        idx = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
-        x0 = self.knots[idx]
-        dx = np.clip(x, self.knots[0], self.knots[-1]) - x0
-        v0 = self.values[idx]
-        slope = (self.values[idx + 1] - v0) / (self.knots[idx + 1] - x0)
-        return np.clip(cum[idx] + v0 * dx + slope * dx**2 / 2.0, 0.0, 1.0)
-
-
 def reconstruct(f: DensityModel, m: int) -> PiecewiseLinearDensity:
-    """The tent reconstruction with knot values m * theta_j at midpoints."""
+    """f_hat_m: the tent kernel's pushforward of the midpoint law with masses theta."""
     theta = theta_of(f, m).theta
-    mids = tent_basis(m).midpoints
-    knots = np.concatenate([[0.0], mids, [1.0]])
-    values = np.concatenate([[m * theta[0]], m * theta, [m * theta[-1]]])
-    return PiecewiseLinearDensity(m=m, knots=knots, values=values)
+    midpoint_law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, theta)))
+    return reconstruction_kernel(m).pushforward_density(midpoint_law)
 
 
 def _error_knots(m: int) -> np.ndarray:
@@ -103,16 +62,6 @@ def l2_error_sq(
     return max(value, 0.0)
 
 
-def boundary_l2_contribution(f: DensityModel, m: int) -> float:
-    """int_0^{1/2m} (f - m theta_1)^2, the left boundary share of the L2 error."""
-    fhat = reconstruct(f, m)
-    flat = fhat.values[0]
-    value, _ = integrate(
-        lambda x: (f.pdf(x) - flat) ** 2, 0.0, 1.0 / (2.0 * m), tol=1e-14
-    )
-    return max(value, 0.0)
-
-
 @dataclass(frozen=True)
 class ErrorBreakdown:
     """Measured reconstruction errors and the bound connecting them."""
@@ -120,7 +69,6 @@ class ErrorBreakdown:
     l2_sq: float
     hellinger_sq: float
     hellinger_sq_bound: float  # (1 / 4 eps) * l2_sq
-    sup_remainder: float       # max over interior cells of ||R_i||_inf
 
     def __post_init__(self):
         if self.hellinger_sq > self.hellinger_sq_bound + 1e-9:
@@ -132,20 +80,11 @@ class ErrorBreakdown:
 
 def hellinger_bound(f: DensityModel, m: int) -> ErrorBreakdown:
     """Direct H^2(f, f_hat_m) next to its (1/4 eps) L2^2 upper bound."""
-    if f.eps <= 0.0:
-        raise DomainError("the Hellinger bound needs eps > 0")
     fhat = reconstruct(f, m)
     l2 = l2_error_sq(f, m, fhat=fhat)
     h_sq, _ = hellinger_sq_quadrature(f, fhat, knots=_error_knots(m))
-    sup_r = max(
-        (remainder_sup(f, m, i) for i in range(2, m)),
-        default=0.0,
-    )
     return ErrorBreakdown(
-        l2_sq=l2,
-        hellinger_sq=h_sq,
-        hellinger_sq_bound=l2 / (4.0 * f.eps),
-        sup_remainder=sup_r,
+        l2_sq=l2, hellinger_sq=h_sq, hellinger_sq_bound=l2 / (4.0 * f.eps)
     )
 
 
@@ -164,23 +103,3 @@ def remainder_sup(f: DensityModel, m: int, i: int) -> float:
     d0 = float(np.asarray(f.derivative(np.asarray([x_star])))[0])
     rem = np.abs(f.pdf(x) - f0 - d0 * (x - x_star))
     return float(rem.max())
-
-
-def sqrt_class_params(
-    gamma: float, K: float, eps: float, M: float, variant: str = "step1"
-) -> tuple[float, float, float, float]:
-    """Class parameters of sqrt(f) when f ranges over F(gamma, K, eps, M).
-
-    Two Hoelder constants for (sqrt f)' are in circulation: K / sqrt(eps)
-    ('step1') and the conservative K sqrt(M) / sqrt(eps) ('step2').
-    Bounds that depend on the constant should use the larger one.
-    """
-    if eps <= 0.0 or K <= 0.0 or M < eps:
-        raise DomainError("invalid class parameters")
-    if variant == "step1":
-        k_new = K / math.sqrt(eps)
-    elif variant == "step2":
-        k_new = K * math.sqrt(M) / math.sqrt(eps)
-    else:
-        raise UsageError(f"unknown variant {variant!r}; use 'step1' or 'step2'")
-    return (gamma, k_new, math.sqrt(eps), math.sqrt(M))

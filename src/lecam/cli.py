@@ -78,7 +78,8 @@ def _add_class_args(sp, default_density: str) -> None:
     sp.add_argument(
         "--density",
         default=default_density,
-        help="builtin density spec: uniform | cosine:a1[,a2,a3] | affine:a",
+        help="builtin density spec: uniform | cosine:a1[,a2,a3] with sum |a_k| <= 1/2 "
+        "(larger exits 2) | affine:a",
     )
     sp.add_argument("--gamma", type=float, default=1.0, help="Hoelder exponent in (0,1]")
     sp.add_argument("--K", type=float, default=None, help="override the class constant K")

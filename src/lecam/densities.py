@@ -1,8 +1,8 @@
 """Built-in density catalog.
 
 Every entry has closed-form integrals and derivatives, so tests can check
-quadrature output against exact antiderivatives.  Cosine coefficients are
-clamped so the density stays in its smoothness class.
+quadrature output against exact antiderivatives.  ``cosine`` clamps its
+coefficients into the class; ``parse_spec`` refuses a spec it would clamp.
 """
 
 from __future__ import annotations
@@ -147,4 +147,6 @@ def parse_spec(text: str, gamma: float = 1.0) -> DensityModel:
         if len(values) != 1:
             raise UsageError("affine takes exactly one slope argument")
         return affine(values[0], gamma=gamma)
+    if np.abs(values).sum() > _MAX_COS_MASS:  # cosine() would clamp it to another density
+        raise UsageError(f"cosine spec {args!r} has sum |a_k| > 1/2, outside the class")
     return cosine(values, gamma=gamma)

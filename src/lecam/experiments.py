@@ -8,7 +8,6 @@ All samplers are deterministic functions of (parameters, seed).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -83,22 +82,6 @@ class Trajectory:
     @property
     def resolution(self) -> int:
         return self.times.size - 1
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "value"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([f"{t:.12g}", f"{v:.12g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["time", "value"]:
-            raise UsageError(f"{path}: expected a 'time,value' header")
-        data = np.asarray(rows[1:], dtype=float)
-        return cls(times=data[:, 0], values=data[:, 1])
 
 
 def theta_of(f: DensityModel, m: int) -> ThetaVector:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .experiments import Trajectory
-from .measures import DiscreteLaw
+from .measures import DiscreteLaw, PiecewiseLinearDensity
 from .rng import substream, substream_seq
 
 __all__ = [
@@ -76,52 +76,22 @@ class TentBasis:
     def midpoints(self) -> np.ndarray:
         return (2.0 * np.arange(1, self.m + 1) - 1.0) / (2.0 * self.m)
 
-    def value(self, j: int, x) -> np.ndarray:
-        """V_j evaluated at x (j is 1-based)."""
-        self._check_index(j)
-        x = np.asarray(x, dtype=float)
-        m, xs = float(self.m), self.midpoints
-        if j == 1:
-            xp, fp = [0.0, xs[0], xs[1]], [m, m, 0.0]
-        elif j == self.m:
-            xp, fp = [xs[-2], xs[-1], 1.0], [0.0, m, m]
-        else:
-            xp, fp = [xs[j - 2], xs[j - 1], xs[j]], [0.0, m, 0.0]
-        return np.interp(x, xp, fp)
+    def mixture(self, weights) -> PiecewiseLinearDensity:
+        """The law sum_j w_j V_j; leading axes of ``weights`` index laws.
 
-    def values(self, x) -> np.ndarray:
-        """Matrix V_j(x_k) of shape (m, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.stack([self.value(j, x) for j in range(1, self.m + 1)])
-
-    def cdf(self, j: int, t) -> np.ndarray:
-        """Exact integral of V_j from 0 to t (piecewise quadratic)."""
-        self._check_index(j)
-        t = np.asarray(t, dtype=float)
-        m, xs = float(self.m), self.midpoints
-        if j == 1:
-            a, b = xs[0], xs[1]
-            rise = m * t
-            fall = 1.0 - m**2 * (b - t) ** 2 / 2.0
-            return np.where(t <= a, rise, np.where(t < b, fall, 1.0))
-        if j == self.m:
-            a, b = xs[-2], xs[-1]
-            rise = m**2 * (t - a) ** 2 / 2.0
-            flat = 0.5 + m * (t - b)
-            return np.where(
-                t <= a, 0.0, np.where(t < b, rise, np.minimum(flat, 1.0))
-            )
-        a, b, c = xs[j - 2], xs[j - 1], xs[j]
-        rise = m**2 * (t - a) ** 2 / 2.0
-        fall = 1.0 - m**2 * (c - t) ** 2 / 2.0
-        return np.where(
-            t <= a, 0.0, np.where(t <= b, rise, np.where(t < c, fall, 1.0))
+        On the knots 0, x_1*, ..., x_m*, 1 it takes the values m * w with the
+        end weights repeated: V_j is m at x_j* only (V_1 also at 0, V_m at 1).
+        """
+        w = np.asarray(weights, dtype=float)
+        knots = np.concatenate([[0.0], self.midpoints, [1.0]])
+        at_knots = np.concatenate([[0], np.arange(self.m), [self.m - 1]])
+        return PiecewiseLinearDensity(
+            knots=knots, values=np.take(self.m * w, at_knots, axis=-1)
         )
 
     def cdf_matrix(self, t) -> np.ndarray:
         """Matrix of integrals int_0^t V_j, shape (m, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack([self.cdf(j, t) for j in range(1, self.m + 1)])
+        return self.mixture(np.eye(self.m)).cdf(np.atleast_1d(t))
 
     def ppf_indexed(self, j_idx, u) -> np.ndarray:
         """Inverse CDF of V_{j_idx+1} at u, vectorized over both arrays."""
@@ -142,15 +112,6 @@ class TentBasis:
         )
         return out
 
-    def ppf(self, j: int, u) -> np.ndarray:
-        self._check_index(j)
-        u = np.asarray(u, dtype=float)
-        return self.ppf_indexed(np.full(u.shape, j - 1, dtype=int), u)
-
-    def sample(self, j: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Exact draws from the density V_j by inverse CDF."""
-        return self.ppf(j, rng.uniform(size=size))
-
     def snap(self, x) -> np.ndarray:
         """0-based midpoint indices for points that are midpoints."""
         x = np.asarray(x, dtype=float)
@@ -158,10 +119,6 @@ class TentBasis:
         if np.any(np.abs(x - (2.0 * (j0 + 1) - 1.0) / (2.0 * self.m)) > MIDPOINT_TOL):
             raise DomainError("input point is not a cell midpoint")
         return j0
-
-    def _check_index(self, j: int) -> None:
-        if not 1 <= j <= self.m:
-            raise UsageError(f"tent index {j} outside 1..{self.m}")
 
 
 def tent_basis(m: int) -> TentBasis:
@@ -176,8 +133,9 @@ class MarkovKernel:
     ``sample(x, seed)`` is deterministic given its seed and maps the last
     axis of ``x``; leading axes are replications.  ``pushforward_density``
     maps an input law to the output law where that is available in closed
-    form.  Composites carry their flattened ``stages`` so that composition
-    associates exactly on sampled outputs, not just in law.
+    form, as a law object with its own ``pdf`` and ``cdf``.  Composites
+    carry their flattened ``stages`` so that composition associates exactly
+    on sampled outputs, not just in law.
     """
 
     source: Space
@@ -278,8 +236,9 @@ def midpoint_kernel(n: int, m: int) -> MarkovKernel:
 def reconstruction_kernel(m: int) -> MarkovKernel:
     """Kernel sending the midpoint x_j* to a draw from the density V_j.
 
-    Its pushforward maps the midpoint law with masses theta to the
-    piecewise-linear density sum_j theta_j V_j.
+    Its pushforward maps the midpoint law with masses theta to the law
+    f_hat = sum_j theta_j V_j, a ``PiecewiseLinearDensity`` with ``pdf`` and
+    ``cdf``; ``approx.reconstruct`` and every check of f_hat use it.
     """
     basis = tent_basis(m)
 
@@ -289,16 +248,10 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
         u = substream(seed, "tent").uniform(size=x.shape)
         return basis.ppf_indexed(j0, u)
 
-    def pushforward(law: DiscreteLaw) -> Callable:
-        j0 = basis.snap(law.points)
+    def pushforward(law: DiscreteLaw) -> PiecewiseLinearDensity:
         weights = np.zeros(m)
-        np.add.at(weights, j0, law.masses)
-
-        def pdf(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return weights @ basis.values(x)
-
-        return pdf
+        np.add.at(weights, basis.snap(law.points), law.masses)
+        return basis.mixture(weights)
 
     return MarkovKernel(
         source=midpoint_space(1, m),

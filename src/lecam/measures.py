@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, UsageError
 from .quadrature import integrate
 
 __all__ = [
     "DensityModel",
     "NormalSpec",
     "DiscreteLaw",
+    "PiecewiseLinearDensity",
     "DistanceReport",
     "METRICS",
     "hellinger_sq_normal",
@@ -55,6 +56,9 @@ class DensityModel:
     name: str = "density"
 
     def __post_init__(self):
+        for name in ("gamma", "K", "eps", "M"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.gamma <= 1.0):
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.K <= 0.0:
@@ -151,6 +155,65 @@ class DiscreteLaw:
         return np.asarray([m for _, m in self.atoms], dtype=float)
 
 
+@dataclass(frozen=True)
+class PiecewiseLinearDensity:
+    """Densities on [knots[0], knots[-1]] that are linear between the knots.
+
+    ``values`` has shape (..., len(knots)); its leading axes index laws, so
+    one object can hold a whole family on the same knots, such as the tent
+    basis ``TentBasis.mixture(np.eye(m))``.  Each law must be nonnegative
+    and integrate to 1.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        if knots.ndim != 1 or knots.size < 2 or values.shape[-1:] != knots.shape:
+            raise UsageError("values must end in an axis matching the 1-d knots")
+        if np.any(np.diff(knots) <= 0.0):
+            raise UsageError("knots must be strictly increasing")
+        if not values.min() >= 0.0:  # NaN fails here too
+            raise DomainError(f"density values must be nonnegative, got {values.min():g}")
+        total = self.integral()
+        if not np.abs(total - 1.0).max() <= 1e-12:
+            raise DomainError(f"law integrates to {np.ravel(total)}, not 1")
+
+    def integral(self):
+        """Exact integral of each law (trapezoid rule is exact here)."""
+        return np.trapezoid(self.values, self.knots, axis=-1)
+
+    def pdf(self, x) -> np.ndarray:
+        """Density values, shape values.shape[:-1] + x.shape."""
+        x = np.asarray(x, dtype=float)
+        rows = self.values.reshape(-1, self.knots.size)
+        out = np.stack([np.interp(x, self.knots, row) for row in rows])
+        return out.reshape(self.values.shape[:-1] + x.shape)
+
+    def cdf(self, x) -> np.ndarray:
+        """Exact piecewise-quadratic CDF, shape values.shape[:-1] + x.shape.
+
+        It is exactly 0 at or below the first knot and exactly 1 at or above
+        the last, whatever rounding the segment masses carry.
+        """
+        x = np.asarray(x, dtype=float)
+        k, v = self.knots, self.values
+        seg_mass = np.diff(k) * (v[..., 1:] + v[..., :-1]) / 2.0
+        cum = np.insert(np.cumsum(seg_mass, axis=-1), 0, 0.0, axis=-1)
+        idx = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
+        x0 = k[idx]
+        dx = np.clip(x, k[0], k[-1]) - x0
+        # np.take keeps the gathered arrays C-ordered, unlike v[..., idx]
+        v0 = np.take(v, idx, axis=-1)
+        slope = (np.take(v, idx + 1, axis=-1) - v0) / (k[idx + 1] - x0)
+        out = np.take(cum, idx, axis=-1) + v0 * dx + slope * (dx**2 / 2.0)
+        return np.where(x >= k[-1], 1.0, np.clip(out, 0.0, 1.0, out=out))
+
+
 METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
 _METHODS = ("closed_form", "quadrature", "monte_carlo")
 
@@ -170,6 +233,8 @@ class DistanceReport:
             raise DomainError(f"unknown metric {self.metric!r}")
         if self.method not in _METHODS:
             raise DomainError(f"unknown method {self.method!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.abs_error)):
+            raise DomainError(f"non-finite distance {self.value} (error {self.abs_error})")
         if self.value < -1e-12:
             raise DomainError(f"negative distance {self.value:g}")
         if self.metric == "tv" and self.value > 1.0 + 1e-9:

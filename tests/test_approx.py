@@ -6,18 +6,17 @@ import pytest
 
 from lecam.approx import (
     ErrorBreakdown,
-    boundary_l2_contribution,
     hellinger_bound,
     l2_error_sq,
     reconstruct,
     remainder_sup,
-    sqrt_class_params,
 )
 from lecam.densities import affine, cosine, uniform
 from lecam.errors import DomainError, UsageError
 from lecam.experiments import theta_of
-from lecam.kernels import tent_basis
-from lecam.measures import DensityModel
+from lecam.kernels import reconstruction_kernel, tent_basis
+from lecam.measures import DensityModel, DiscreteLaw, PiecewiseLinearDensity
+from lecam.quadrature import integrate
 
 COSINE = cosine([0.3])
 
@@ -61,8 +60,18 @@ class TestReconstruct:
         theta = theta_of(COSINE, m).theta
         fhat = reconstruct(COSINE, m)
         x = np.linspace(0.0, 1.0, 401)
-        combo = theta @ tent_basis(m).values(x)
+        combo = theta @ tent_basis(m).mixture(np.eye(m)).pdf(x)
         assert fhat.pdf(x) == pytest.approx(combo, abs=1e-12)
+
+    def test_is_the_tent_kernels_pushforward(self):
+        m = 8
+        theta = theta_of(COSINE, m).theta
+        law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, theta)))
+        pushed = reconstruction_kernel(m).pushforward_density(law)
+        fhat = reconstruct(COSINE, m)
+        assert isinstance(fhat, PiecewiseLinearDensity)
+        assert np.array_equal(fhat.knots, pushed.knots)
+        assert np.array_equal(fhat.values, pushed.values)
 
     def test_affine_reproduced_between_first_and_last_midpoint(self):
         f = affine(0.5)
@@ -89,9 +98,6 @@ class TestReconstruct:
 
     def test_cdf_is_exact(self):
         fhat = reconstruct(COSINE, 4)
-        x = np.linspace(0.0, 1.0, 101)
-        from lecam.quadrature import integrate
-
         for xi in (0.2, 0.55, 0.9):
             val, _ = integrate(fhat.pdf, 0.0, xi, knots=fhat.knots, tol=1e-12)
             assert fhat.cdf(np.array([xi]))[0] == pytest.approx(val, abs=1e-10)
@@ -111,10 +117,14 @@ class TestL2Error:
             assert l2_error_sq(f, m) == pytest.approx(a**2 / (12.0 * m**3), rel=1e-9)
 
     def test_boundary_contribution_oracle(self):
+        # the flat left cap [0, 1/2m] carries half of the affine error
         a = 0.5
         f = affine(a)
         for m in (8, 32, 128):
-            got = boundary_l2_contribution(f, m)
+            fhat = reconstruct(f, m)
+            got, _ = integrate(
+                lambda x: (f.pdf(x) - fhat.pdf(x)) ** 2, 0.0, 1.0 / (2.0 * m), tol=1e-14
+            )
             assert got == pytest.approx(a**2 / (24.0 * m**3), rel=1e-9)
 
     def test_cosine_slope_near_minus_four(self):
@@ -153,7 +163,7 @@ class TestHellingerBound:
     def test_breakdown_invariant(self):
         with pytest.raises(DomainError):
             ErrorBreakdown(
-                l2_sq=1e-4, hellinger_sq=1.0, hellinger_sq_bound=1e-4, sup_remainder=0.0
+                l2_sq=1e-4, hellinger_sq=1.0, hellinger_sq_bound=1e-4
             )
 
 
@@ -185,37 +195,3 @@ class TestRemainder:
             remainder_sup(COSINE, 8, 0)
         with pytest.raises(UsageError):
             remainder_sup(COSINE, 8, 9)
-
-
-class TestSqrtClassParams:
-    def test_identity_point(self):
-        assert sqrt_class_params(1.0, 1.0, 1.0, 1.0) == (1.0, 1.0, 1.0, 1.0)
-
-    def test_direct_formula(self):
-        gamma, K, eps, M = 0.5, 3.0, 0.25, 4.0
-        assert sqrt_class_params(gamma, K, eps, M) == (0.5, 6.0, 0.5, 2.0)
-        conservative = sqrt_class_params(gamma, K, eps, M, variant="step2")
-        assert conservative == (0.5, 12.0, 0.5, 2.0)
-        assert conservative[1] >= sqrt_class_params(gamma, K, eps, M)[1]
-
-    def test_variant_guard(self):
-        with pytest.raises(UsageError):
-            sqrt_class_params(1.0, 1.0, 1.0, 1.0, variant="bogus")
-        with pytest.raises(DomainError):
-            sqrt_class_params(1.0, 1.0, -1.0, 1.0)
-
-    def test_sqrt_density_obeys_mapped_class(self):
-        # finite-difference spot check of the conservative Hoelder constant
-        f = COSINE
-        gamma, k_new, eps_new, m_new = sqrt_class_params(
-            f.gamma, f.K, f.eps, f.M, variant="step2"
-        )
-        x = np.linspace(0.0, 1.0, 401)
-        root = np.sqrt(f.pdf(x))
-        assert root.min() >= eps_new - 1e-12
-        assert root.max() <= m_new + 1e-12
-        d_root = f.deriv(x) / (2.0 * np.sqrt(f.pdf(x)))
-        for stride in (1, 11, 200):
-            gap = np.abs(d_root[stride:] - d_root[:-stride])
-            dist = (x[stride:] - x[:-stride]) ** gamma
-            assert (gap <= k_new * dist + 1e-9).all()

@@ -251,6 +251,50 @@ class TestVerify:
         assert code == 2
         assert "eps" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transport", "--m", "4", "--n", "10", "--seed", "1", "--M", "inf"],
+            ["transport", "--m", "4", "--n", "10", "--seed", "1", "--K", "nan"],
+            ["sweep", "--n-grid", "1024,2048,4096,8192", "--seed", "1", "--eps", "nan"],
+            ["verify", "--seed", "1", "--gamma", "nan"],
+        ],
+    )
+    def test_non_finite_class_params_exit_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
+
+class TestClampedCosineSpec:
+    # cosine() rescales sum |a_k| > 1/2 into the class; a spec that would be
+    # rescaled names a different density, so the CLI refuses it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--density", "cosine:2", "--density", "uniform"],
+            ["sweep", "--density", "cosine:0.4,0.2", "--n-grid", "1024,2048,4096,8192",
+             "--seed", "1"],
+            ["verify", "--density", "cosine:-0.6", "--seed", "1"],
+            ["transport", "--density", "cosine:2", "--m", "4", "--n", "10", "--seed", "1"],
+        ],
+    )
+    def test_clamped_spec_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "sum |a_k|" in err
+
+    def test_boundary_spec_is_accepted(self, capsys):
+        code, out, _ = run(
+            ["distance", "--density", "cosine:0.5", "--density", "uniform", "--metric", "l2"],
+            capsys,
+        )
+        assert code == 0
+        # int (0.5 cos 2 pi x)^2 = 1/8
+        assert json.loads(out)["value"] == pytest.approx(0.125, abs=1e-9)
+
 
 class TestTransport:
     def test_generated_sample_deterministic(self, tmp_path, capsys):

@@ -175,20 +175,6 @@ class TestIncrements:
 
 
 class TestSerialization:
-    def test_trajectory_roundtrip(self, tmp_path):
-        traj = sample_white_noise(COSINE, 100, 32, 3)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        back = Trajectory.from_csv(path)
-        assert back.times == pytest.approx(traj.times, abs=1e-12)
-        assert back.values == pytest.approx(traj.values, abs=1e-10)
-
-    def test_trajectory_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0,0\n")
-        with pytest.raises(UsageError):
-            Trajectory.from_csv(path)
-
     def test_samples_roundtrip(self, tmp_path):
         xs = sample_iid(COSINE, 50, 9)
         path = tmp_path / "samples.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -5,6 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import lecam.approx
 
 from lecam.densities import cosine, uniform
 from lecam.equivalence import RateParams, bound_density_reconstruction
@@ -26,6 +30,7 @@ from lecam.harness import (
     verify_ystar_moments,
 )
 from lecam.kernels import bin_counts, binning_kernel, identity_kernel, unit_interval_space
+from lecam.measures import PiecewiseLinearDensity
 
 COSINE = cosine([0.3])
 
@@ -63,6 +68,32 @@ class TestTransport:
     def test_cosine_matches_reconstruction_cdf(self):
         report = verify_transport(COSINE, n=10_000, m=8, seed=2)
         assert report.passed, report.to_json()
+
+    def test_ks_cdf_is_the_kernels_pushforward(self, monkeypatch):
+        # the KS reference is the law the shipped tent kernel pushes forward
+        pushed, ks_cdfs = [], []
+        real_kernel, real_kstest = lecam.approx.reconstruction_kernel, stats.kstest
+
+        def spy_kernel(m):
+            kernel = real_kernel(m)
+
+            def pushforward(law):
+                pushed.append(kernel.pushforward_density(law))
+                return pushed[-1]
+
+            return dataclasses.replace(kernel, pushforward_density=pushforward)
+
+        def spy_kstest(sample, cdf):
+            ks_cdfs.append(cdf)
+            return real_kstest(sample, cdf)
+
+        monkeypatch.setattr(lecam.approx, "reconstruction_kernel", spy_kernel)
+        monkeypatch.setattr(stats, "kstest", spy_kstest)
+        report = verify_transport(COSINE, n=2_000, m=8, seed=2)
+        assert report.passed
+        assert len(pushed) == 1 and len(ks_cdfs) == 1
+        assert ks_cdfs[0].__self__ is pushed[0]
+        assert ks_cdfs[0].__func__ is PiecewiseLinearDensity.cdf
 
     def test_skipping_reconstruction_fails(self):
         report = verify_transport(COSINE, n=10_000, m=8, seed=2, skip_reconstruction=True)

@@ -1,3 +1,6 @@
+import bisect
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -33,20 +36,21 @@ class TestTentBasis:
     def test_m2_shape(self):
         b = tent_basis(2)
         x = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
-        assert b.value(1, x) == pytest.approx([2, 2, 2, 1, 0, 0], abs=1e-14)
-        assert b.value(2, x) == pytest.approx([0, 0, 0, 1, 2, 2], abs=1e-14)
-        assert b.cdf(1, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
+        tents = b.mixture(np.eye(2)).pdf(x)
+        assert tents[0] == pytest.approx([2, 2, 2, 1, 0, 0], abs=1e-14)
+        assert tents[1] == pytest.approx([0, 0, 0, 1, 2, 2], abs=1e-14)
+        assert b.cdf_matrix(np.array([1.0]))[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 8, 17])
     def test_partition_of_unity(self, m):
         b = tent_basis(m)
         x = np.linspace(0.0, 1.0, 1000)
-        assert np.abs(b.values(x).sum(axis=0) - m).max() <= 1e-12
+        assert np.abs(b.mixture(np.eye(m)).pdf(x).sum(axis=0) - m).max() <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_interpolation_property(self, m):
         b = tent_basis(m)
-        vals = b.values(b.midpoints)
+        vals = b.mixture(np.eye(m)).pdf(b.midpoints)
         assert vals == pytest.approx(m * np.eye(m), abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 5, 16])
@@ -56,18 +60,48 @@ class TestTentBasis:
             np.ones((m, 1)), abs=1e-14
         )
 
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_cdf_ends_are_exact(self, m):
+        ends = tent_basis(m).cdf_matrix(np.array([-0.5, 0.0, 1.0, 1.5]))
+        assert np.array_equal(ends, np.repeat([[0.0, 0.0, 1.0, 1.0]], m, axis=0))
+
+    @pytest.mark.parametrize("m", [2, 8, 16, 64])
+    def test_dyadic_cdf_is_exact(self, m):
+        # at dyadic m every tent integral on the grid k / (4m) is a dyadic
+        # rational, so the float CDF must equal it bit for bit
+        b = tent_basis(m)
+        t = [Fraction(k, 4 * m) for k in range(4 * m + 1)]
+        got = b.cdf_matrix(np.array([float(x) for x in t]))
+        assert got.flags.c_contiguous
+        knots = [Fraction(0)] + [Fraction(2 * j + 1, 2 * m) for j in range(m)] + [Fraction(1)]
+        for j in range(m):
+            at = [0] * m
+            at[j] = m
+            v = [at[0]] + at + [at[-1]]
+            cum = [Fraction(0)]
+            for i in range(m + 1):
+                cum.append(cum[-1] + (knots[i + 1] - knots[i]) * (v[i] + v[i + 1]) / 2)
+            want = []
+            for x in t:
+                i = min(bisect.bisect_right(knots, x) - 1, m)
+                dx = x - knots[i]
+                slope = (v[i + 1] - v[i]) / (knots[i + 1] - knots[i])
+                want.append(float(cum[i] + v[i] * dx + slope * dx * dx / 2))
+            assert got[j].tolist() == want
+
     def test_ppf_cdf_roundtrip(self):
         b = tent_basis(5)
         u = np.linspace(0.001, 0.999, 199)
         for j in range(1, 6):
-            assert b.cdf(j, b.ppf(j, u)) == pytest.approx(u, abs=1e-12)
+            x = b.ppf_indexed(np.full(u.shape, j - 1), u)
+            assert b.cdf_matrix(x)[j - 1] == pytest.approx(u, abs=1e-12)
 
     def test_sample_matches_cdf(self):
         b = tent_basis(4)
         rng = np.random.default_rng(5)
         for j in (1, 2, 4):
-            draws = b.sample(j, rng, 10_000)
-            res = stats.kstest(draws, lambda t: b.cdf(j, t))
+            draws = b.ppf_indexed(np.full(10_000, j - 1), rng.uniform(size=10_000))
+            res = stats.kstest(draws, lambda t: b.cdf_matrix(t)[j - 1])
             assert res.pvalue >= 1e-3
 
     def test_m_floor(self):
@@ -169,18 +203,20 @@ class TestReconstructionKernel:
         m = 4
         k = reconstruction_kernel(m)
         law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, [0.25] * m)))
-        pdf = k.pushforward_density(law)
+        fhat = k.pushforward_density(law)
         x = np.linspace(0.0, 1.0, 501)
-        assert pdf(x) == pytest.approx(np.ones_like(x), abs=1e-12)
+        assert fhat.pdf(x) == pytest.approx(np.ones_like(x), abs=1e-12)
+        assert fhat.cdf(x) == pytest.approx(x, abs=1e-12)
 
     def test_point_mass_pushforward_is_tent(self):
         m = 4
         b = tent_basis(m)
         k = reconstruction_kernel(m)
         law = DiscreteLaw(((b.midpoints[0], 1.0),))
-        pdf = k.pushforward_density(law)
+        fhat = k.pushforward_density(law)
         x = np.linspace(0.0, 1.0, 501)
-        assert pdf(x) == pytest.approx(b.value(1, x), abs=1e-12)
+        tent_1 = np.interp(x, [0.0, b.midpoints[0], b.midpoints[1]], [m, m, 0.0])
+        assert fhat.pdf(x) == pytest.approx(tent_1, abs=1e-12)
 
     def test_draws_match_tent_cdf(self):
         m = 4
@@ -189,7 +225,7 @@ class TestReconstructionKernel:
         for j in (1, 3):
             x = np.full(10_000, b.midpoints[j - 1])
             draws = k.sample(x, substream_seq(3, j))
-            res = stats.kstest(draws, lambda t: b.cdf(j, t))
+            res = stats.kstest(draws, lambda t: b.cdf_matrix(t)[j - 1])
             assert res.pvalue >= 1e-3
 
     def test_rejects_non_midpoint(self):
@@ -279,10 +315,11 @@ class TestProductAndCompose:
             DiscreteLaw(((mids[0], 1.0),)),
             DiscreteLaw(tuple(zip(mids, [0.25] * m))),
         ]
-        pdfs = prod.pushforward_density(laws)
+        fhats = prod.pushforward_density(laws)
         x = np.linspace(0.0, 1.0, 101)
-        assert pdfs[0](x) == pytest.approx(tent_basis(m).value(1, x), abs=1e-12)
-        assert pdfs[1](x) == pytest.approx(np.ones_like(x), abs=1e-12)
+        tent_1 = np.interp(x, [0.0, mids[0], mids[1]], [m, m, 0.0])
+        assert fhats[0].pdf(x) == pytest.approx(tent_1, abs=1e-12)
+        assert fhats[1].pdf(x) == pytest.approx(np.ones_like(x), abs=1e-12)
         with pytest.raises(UsageError):
             prod.pushforward_density(laws[:1])
 

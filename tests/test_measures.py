@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lecam import measures
-from lecam.errors import DomainError, NumericalError
+from lecam.densities import uniform
+from lecam.errors import DomainError, NumericalError, UsageError
 from lecam.measures import (
     DiscreteLaw,
     DistanceReport,
     NormalSpec,
+    PiecewiseLinearDensity,
     hellinger_sq_discrete,
     hellinger_sq_normal,
     hellinger_sq_product,
@@ -209,3 +212,56 @@ class TestLawValidation:
             DistanceReport(metric="hellinger", value=1.5, method="quadrature")
         with pytest.raises(DomainError):
             DistanceReport(metric="made-up", value=0.0, method="closed_form")
+
+    @pytest.mark.parametrize(
+        "value, abs_error", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)]
+    )
+    def test_distance_report_is_finite(self, value, abs_error):
+        with pytest.raises(DomainError, match="finite"):
+            DistanceReport(metric="tv", value=value, method="quadrature", abs_error=abs_error)
+
+    @pytest.mark.parametrize("name", ["gamma", "K", "eps", "M"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_density_model_params_are_finite(self, name, value):
+        with pytest.raises(DomainError, match="finite"):
+            dataclasses.replace(uniform(), **{name: value})
+
+
+class TestPiecewiseLinearDensity:
+    KNOTS = np.array([0.0, 0.5, 1.0])
+
+    def test_pdf_and_cdf_of_one_law(self):
+        # 1.5 - x: masses 5/8 and 3/8 on the two halves
+        law = PiecewiseLinearDensity(knots=self.KNOTS, values=[1.5, 1.0, 0.5])
+        assert law.pdf([0.25, 0.75]) == pytest.approx([1.25, 0.75], abs=1e-15)
+        assert law.cdf([0.25, 0.5, 0.75]) == pytest.approx(
+            [0.34375, 0.625, 0.84375], abs=1e-15
+        )
+
+    def test_leading_axes_index_laws(self):
+        rows = np.array([[1.5, 1.0, 0.5], [0.0, 1.0, 2.0]])
+        laws = PiecewiseLinearDensity(knots=self.KNOTS, values=rows[None])
+        x = np.linspace(-0.5, 1.5, 41)
+        assert laws.pdf(x).shape == laws.cdf(x).shape == (1, 2, 41)
+        for r, row in enumerate(rows):
+            law = PiecewiseLinearDensity(knots=self.KNOTS, values=row)
+            assert np.array_equal(laws.pdf(x)[0, r], law.pdf(x))
+            assert np.array_equal(laws.cdf(x)[0, r], law.cdf(x))
+        assert laws.cdf(x).flags.c_contiguous
+
+    def test_cdf_ends_are_exact(self):
+        law = PiecewiseLinearDensity(knots=[0.0, 1.0 / 3.0, 1.0], values=[0.9, 1.2, 0.75])
+        assert np.all(law.cdf([-1.0, 0.0]) == 0.0)
+        assert np.all(law.cdf([1.0, 2.0]) == 1.0)
+
+    def test_rejects_non_laws(self):
+        with pytest.raises(DomainError):
+            PiecewiseLinearDensity(knots=self.KNOTS, values=[1.0, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            PiecewiseLinearDensity(knots=[0.0, 0.5, 1.0], values=[-0.5, 2.0, 0.5])
+        with pytest.raises(DomainError):
+            PiecewiseLinearDensity(knots=self.KNOTS, values=[1.0, np.nan, 1.0])
+        with pytest.raises(UsageError):
+            PiecewiseLinearDensity(knots=self.KNOTS, values=[1.0, 1.0])
+        with pytest.raises(UsageError):
+            PiecewiseLinearDensity(knots=[0.0, 1.0, 1.0], values=[1.0, 1.0, 1.0])
