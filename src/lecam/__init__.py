@@ -39,9 +39,9 @@ from .measures import (
     DistanceReport,
     NormalSpec,
     PiecewiseLinearDensity,
-    hellinger_sq_normal,
     hellinger_sq_product,
     hellinger_sq_quadrature,
+    normal_distance,
     tv_discrete,
     tv_sandwich,
 )

@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Subcommands: ``distance`` (closed-form / quadrature distances between two
-laws), ``sweep`` (rate sweeps along the bin tuning rule, CSV or JSON),
-``verify`` (the Monte Carlo verification suite as JSON lines), and
-``transport`` (push a sample through the full kernel chain).  Exit codes:
-0 success, 1 a verification check failed, 2 usage error (including a path
-that cannot be read or written), 3 numerical failure.  Identical (config,
-seed) pairs produce byte-identical output regardless of the parallel degree.
+Subcommands: ``distance`` (closed forms between two normals, quadrature
+between two densities on [0, 1]), ``sweep`` (rate sweeps along the bin tuning
+rule, CSV or JSON), ``verify`` (the Monte Carlo verification suite as JSON
+lines), and ``transport`` (push a sample through the full kernel chain).
+Exit codes: 0 success, 1 a verification check failed, 2 usage error
+(including a path that cannot be read or written), 3 numerical failure, 4
+internal error (any other exception, on one line).  Identical (config, seed)
+pairs produce byte-identical output regardless of the parallel degree.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .measures import (
     METRICS,
     DistanceReport,
     NormalSpec,
-    hellinger_sq_normal,
     hellinger_sq_quadrature,
-    normal_support,
+    normal_distance,
 )
 from .quadrature import integrate
 from .rng import substream_seq
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -97,86 +98,34 @@ def _parse_normal(text: str) -> NormalSpec:
         raise UsageError(f"bad normal spec {text!r}, expected MEAN,VAR") from None
 
 
-def _normal_crossings(a: NormalSpec, b: NormalSpec) -> list[float]:
-    """Roots of g_a = g_b, used as quadrature knots for the L1 kink."""
-    ca = 0.5 / a.variance
-    cb = 0.5 / b.variance
-    qa = cb - ca
-    qb = 2.0 * (ca * a.mean - cb * b.mean)
-    qc = (
-        cb * b.mean**2
-        - ca * a.mean**2
-        + 0.5 * math.log(b.variance / a.variance)
-    )
-    if abs(qa) < 1e-15:
-        return [] if abs(qb) < 1e-15 else [-qc / qb]
-    disc = qb**2 - 4.0 * qa * qc
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [(-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)]
-
-
-def _distance_between(pdf_a, pdf_b, metric, domain, knots):
+def _density_distance(fa, fb, metric: str) -> DistanceReport:
+    """``metric`` between two densities on [0, 1] by quadrature."""
     if metric in ("hellinger", "hellinger-sq"):
-        h_sq, err = hellinger_sq_quadrature(pdf_a, pdf_b, domain=domain, knots=knots)
-        if metric == "hellinger-sq":
-            return h_sq, err
-        h = math.sqrt(h_sq)
-        return h, err / (2.0 * h) if h > 0 else err
-
-    def gap(x):
-        return np.asarray(pdf_a(x), dtype=float) - np.asarray(pdf_b(x), dtype=float)
-
-    if metric == "l2":
-        value, err = integrate(lambda x: gap(x) ** 2, *domain, knots=knots)
-        return max(value, 0.0), err
-    value, err = integrate(lambda x: np.abs(gap(x)), *domain, knots=knots)
-    if metric == "tv":
-        return max(value, 0.0) / 2.0, err / 2.0
-    return max(value, 0.0), err  # l1
+        value, err = hellinger_sq_quadrature(fa, fb)
+        if metric == "hellinger" and value > 0:
+            value = math.sqrt(value)
+            err /= 2.0 * value
+    else:
+        power = 2 if metric == "l2" else 1
+        value, err = integrate(lambda x: np.abs(fa.pdf(x) - fb.pdf(x)) ** power, 0.0, 1.0)
+        value = max(value, 0.0)
+        if metric == "tv":
+            value, err = value / 2.0, err / 2.0
+    return DistanceReport(metric, float(value), "quadrature", float(err))
 
 
 def cmd_distance(args) -> int:
-    if args.normal and args.pair_density:
-        raise UsageError("give two --normal specs or two --density specs, not both")
+    specs = args.normal or args.pair_density
+    if bool(args.normal) == bool(args.pair_density) or len(specs) != 2:
+        raise UsageError("distance needs exactly two --normal or two --density specs")
     if args.normal:
-        if len(args.normal) != 2:
-            raise UsageError("distance needs exactly two --normal specs")
-        a, b = (_parse_normal(s) for s in args.normal)
-        if args.metric == "hellinger-sq":
-            value, method, err = hellinger_sq_normal(a, b), "closed_form", 0.0
-        elif args.metric == "hellinger":
-            value, method, err = (
-                math.sqrt(hellinger_sq_normal(a, b)),
-                "closed_form",
-                0.0,
-            )
-        else:
-            domain = normal_support(a, b)
-            # the L1 kinks, and each mean +- 8 sd (normal_support's width), so
-            # a narrow law gets panels of its own width
-            spans = [
-                s.mean + k * 8.0 * math.sqrt(s.variance) for s in (a, b) for k in (-1, 1)
-            ]
-            knots = [
-                t for t in _normal_crossings(a, b) + spans if domain[0] < t < domain[1]
-            ]
-            value, err = _distance_between(a.pdf, b.pdf, args.metric, domain, knots)
-            method = "quadrature"
-    elif args.pair_density:
-        if len(args.pair_density) != 2:
-            raise UsageError("distance needs exactly two --density specs")
-        fa, fb = (parse_spec(s) for s in args.pair_density)
+        a, b = (_parse_normal(s) for s in specs)
+        report = normal_distance(a, b, args.metric)
+    else:
+        fa, fb = (parse_spec(s) for s in specs)
         fa.validate()
         fb.validate()
-        value, err = _distance_between(fa.pdf, fb.pdf, args.metric, (0.0, 1.0), None)
-        method = "quadrature"
-    else:
-        raise UsageError("distance needs two --normal or two --density specs")
-    report = DistanceReport(
-        metric=args.metric, value=float(value), method=method, abs_error=float(err)
-    )
+        report = _density_distance(fa, fb, args.metric)
     record = {
         "metric": report.metric,
         "value": sig12(report.value),
@@ -244,7 +193,7 @@ def cmd_transport(args) -> int:
     if args.counts is not None:
         try:
             counts = np.asarray([int(v) for v in args.counts.split(",")], dtype=int)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: a count beyond int64
             raise UsageError(f"bad counts vector {args.counts!r}") from None
         if counts.size != args.m:
             raise UsageError(f"counts vector must have m={args.m} entries")
@@ -282,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d.add_argument(
         "--metric", choices=METRICS, default="hellinger-sq",
-        help="tv and l1 integrate |f-g| (tv is half of l1); l2 prints the squared "
-        "L2 distance, the integral of (f-g)^2, not its square root",
+        help="normal pairs: closed form for every metric; density pairs: "
+        "quadrature. tv is half of l1; l2 prints the squared L2 distance, the "
+        "integral of (f-g)^2, not its square root",
     )
     d.add_argument("--out", default="-")
     d.set_defaults(func=cmd_distance)
@@ -352,6 +302,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        # a bug, not a failed check: exit 1 keeps meaning only that
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

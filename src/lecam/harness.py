@@ -243,12 +243,11 @@ def verify_ystar_moments(
     R = int(replications)
     if R < 100:
         raise UsageError("need at least 100 replications for moment bands")
-    basis = tent_basis(m)
     g = sqrt_cell_means(f, m)
     sd = 1.0 / (2.0 * math.sqrt(n * m))
     edges = np.arange(1, m + 1, dtype=float) / m
     times = np.union1d(np.asarray(ts, dtype=float), edges)
-    U = basis.cdf_matrix(times)  # (m, T)
+    U = tent_basis(m).cdf_matrix(times)  # (m, T)
 
     ybar = substream(seed, "increments").normal(loc=g, scale=sd, size=(R, m))
     ystar = ystar_values(ybar, U, n, substream(seed, "bridges"))  # (R, T)
@@ -266,9 +265,8 @@ def verify_ystar_moments(
         )
 
     edge_idx = [int(np.searchsorted(times, e)) for e in edges]
-    marks = np.column_stack([np.zeros(R)] + [ystar[:, k] for k in edge_idx])
-    incs = np.diff(marks, axis=1)  # (R, m)
-    u_edges = np.column_stack([np.zeros(m), basis.cdf_matrix(edges)])
+    incs = np.diff(np.column_stack([np.zeros(R), ystar[:, edge_idx]]), axis=1)  # (R, m)
+    u_edges = np.column_stack([np.zeros(m), U[:, edge_idx]])
     exp_incs = g @ np.diff(u_edges, axis=1)
     var_inc = 1.0 / (4.0 * n * m)
     for i in range(m):

@@ -1,14 +1,16 @@
 """Probability laws and the statistical distance toolbox.
 
-Distances come in two routes wherever possible: a closed form (normal
-pairs, product measures, finite laws) and a quadrature fallback for
-arbitrary densities.  Total variation is normalized as half the L1
-distance, so TV lies in [0, 1] and the sandwich H^2/2 <= TV <= H holds.
+Each distance has one route per kind of law: normal pairs get every
+metric in closed form (``normal_distance``), product measures and finite
+laws get exact formulas, and densities on [0, 1] get composite quadrature.
+Total variation is normalized as half the L1 distance, so TV lies in
+[0, 1] and the sandwich H^2/2 <= TV <= H holds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -24,13 +26,12 @@ __all__ = [
     "PiecewiseLinearDensity",
     "DistanceReport",
     "METRICS",
-    "hellinger_sq_normal",
+    "normal_distance",
     "hellinger_sq_product",
     "hellinger_sq_quadrature",
     "hellinger_sq_discrete",
     "tv_sandwich",
     "tv_discrete",
-    "normal_support",
 ]
 
 _FD_STEP = 1e-6  # central-difference step for f' when no analytic derivative
@@ -121,11 +122,6 @@ class NormalSpec:
             )
         if not self.variance > 0.0:
             raise DomainError(f"variance must be positive, got {self.variance}")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) ** 2 / (2.0 * self.variance)
-        return np.exp(-z) / math.sqrt(2.0 * math.pi * self.variance)
 
 
 @dataclass(frozen=True)
@@ -245,11 +241,81 @@ class DistanceReport:
             raise DomainError(f"H^2={self.value:g} exceeds 2")
 
 
-def hellinger_sq_normal(a: NormalSpec, b: NormalSpec) -> float:
-    """Squared Hellinger distance between two normal laws, closed form."""
-    s = a.variance + b.variance
-    geo = math.sqrt(2.0 * math.sqrt(a.variance * b.variance) / s)
-    return 2.0 * (1.0 - geo * math.exp(-((a.mean - b.mean) ** 2) / (4.0 * s)))
+_SQRT2 = math.sqrt(2.0)
+_FAR = 40.0  # |mu| > 40 (1 + r) puts the Bhattacharyya coefficient below e^-400
+# four erf/erfc values, each within an ulp of a number <= 2, in two differences
+_TV_ROUNDING = 4.0 * sys.float_info.epsilon
+
+
+def _phi_diff(a: float, b: float) -> float:
+    """Phi(b) - Phi(a): from erfc when a and b share a side of 0, else from erf."""
+    if min(a, b) >= 0.0:
+        return 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+    if max(a, b) <= 0.0:
+        return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+    return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+
+
+def _standard_tv(u: float, t: float, one_minus_t: float, log_r: float) -> float:
+    """TV between N(0, 1) and N(mu, r^2), given u = mu / r >= 0 and t = 1 / r.
+
+    N(0, 1) has the larger density between the roots lo < hi of
+    (1 - t^2) x^2 + 2 u t x - (u^2 + 2 log r) (lo = -inf when r = 1); pairing
+    Phi(hi) - Phi(hi t - u) and Phi(lo t - u) - Phi(lo) keeps small shifts exact.
+    """
+    quad, half_lin, const = one_minus_t * (1.0 + t), u * t, u * u + 2.0 * log_r
+    q = half_lin + math.sqrt(half_lin * half_lin + quad * const)
+    if q == 0.0:  # identical laws
+        return 0.0
+    hi, lo = const / q, (-q / quad if quad > 0.0 else -math.inf)
+    return _phi_diff(hi * t - u, hi) + _phi_diff(lo, lo * t - u)
+
+
+def _expm1_ratio(x: float) -> float:
+    """(1 - exp(-x)) / x, with its limit 1 at x = 0, so that x may underflow."""
+    return -math.expm1(-x) / x if x else 1.0
+
+
+def normal_distance(a: NormalSpec, b: NormalSpec, metric: str) -> DistanceReport:
+    """Any of ``METRICS`` between two normal laws, in closed form.
+
+    In units of the narrower law, N(0, 1), the other is N(mu, r^2) with mu >= 0,
+    r >= 1; TV and H depend on (mu, r) alone, L2^2 is the standardized form over
+    sigma_narrow.  No form subtracts nearly equal terms: r - 1 is (v_w - v_n) /
+    (s_n (s_n + s_w)), 1 - g and the L2 constant are squares over sums, and the
+    mean shift enters through expm1.  Beyond |mu| = 40 (1 + r), or when r
+    overflows, TV = 1 and H^2 = 2.  H, H^2 and L2^2 are relatively exact down to
+    underflow (abs_error 0.0); TV and L1 carry the rounding bound of their Phi terms.
+    """
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}")
+    narrow, wide = sorted((a, b), key=lambda s: s.variance)
+    sn, sw = math.sqrt(narrow.variance), math.sqrt(wide.variance)
+    gap = (wide.variance - narrow.variance) / (sn + sw)  # s_w - s_n
+    t, one_minus_t = sn / sw, gap / sw  # 1 / r and 1 - 1 / r
+    t_sq1 = 1.0 + t * t
+    shift = abs(wide.mean - narrow.mean)  # inf if it overflows
+    disjoint = not (shift <= _FAR * (sn + sw) and sw / sn < math.inf)  # or r overflows
+    u = min(shift, _FAR * (sn + sw)) / sw  # mu / r, capped where the overlap is gone
+    if metric in ("tv", "l1"):
+        log_r = -math.log(t) if t < 0.5 else math.log1p(gap / sn)
+        tv = 1.0 if disjoint else _standard_tv(u, t, one_minus_t, log_r)
+        k = 1.0 if metric == "tv" else 2.0
+        return DistanceReport(metric, k * tv, "closed_form", k * _TV_ROUNDING)
+    if metric == "l2":
+        # 2 sqrt(pi) s_n L2^2 = (1 + t - h) + h (1 - exp(-w^2)), h = 2 t sqrt(2 / (1 + t^2))
+        h, w = 2.0 * t * math.sqrt(2.0 / t_sq1), u / math.sqrt(2.0 * t_sq1)
+        spread = one_minus_t * one_minus_t * ((1.0 + t) ** 2 + 2.0 * t) / (t_sq1 * (1.0 + t + h))
+        value = spread / sn + h * w * (w / sn) * _expm1_ratio(w * w)
+        return DistanceReport(metric, value / (2.0 * math.sqrt(math.pi)), "closed_form")
+    # H^2 / 2 = (1 - g) + g (1 - exp(-v^2)) with g^2 = 2 t / (1 + t^2) and
+    # 1 - g = (1 - t)^2 / ((1 + t^2) (1 + g))
+    g, v = math.sqrt(2.0 * t / t_sq1), u / (2.0 * math.sqrt(t_sq1))
+    spread = one_minus_t / math.sqrt(t_sq1 * (1.0 + g))
+    h = min(_SQRT2 * math.hypot(spread, v * math.sqrt(g * _expm1_ratio(v * v))), _SQRT2)
+    if metric == "hellinger-sq":
+        return DistanceReport(metric, 2.0 if disjoint else min(h * h, 2.0), "closed_form")
+    return DistanceReport(metric, _SQRT2 if disjoint else h, "closed_form")
 
 
 def hellinger_sq_product(components: Sequence[float]) -> float:
@@ -275,29 +341,15 @@ def hellinger_sq_product(components: Sequence[float]) -> float:
     return result
 
 
-def _as_pdf(obj) -> Callable:
-    if callable(obj):
-        return obj
-    if hasattr(obj, "pdf"):
-        return obj.pdf
-    raise DomainError(f"cannot interpret {type(obj)!r} as a density")
-
-
-def hellinger_sq_quadrature(
-    f,
-    g,
-    *,
-    domain: tuple[float, float] = (0.0, 1.0),
-    knots=None,
-) -> tuple[float, float]:
-    """Squared Hellinger distance by composite quadrature of (sqrt f - sqrt g)^2.
+def hellinger_sq_quadrature(f, g, *, knots=None) -> tuple[float, float]:
+    """Squared Hellinger distance on [0, 1] by composite quadrature of (sqrt f - sqrt g)^2.
 
     Returns ``(value, abs_error)`` with the error taken from panel
     refinement, starting from 16 panels per cell; a refinement that reaches
     the panel cap raises NumericalError.  ``knots`` should list kink locations (cell edges and
     midpoints for piecewise-linear reconstructions) so panels align.
     """
-    fp, gp = _as_pdf(f), _as_pdf(g)
+    fp, gp = (getattr(h, "pdf", h) for h in (f, g))  # laws or bare pdf callables
 
     def integrand(x):
         fv = np.asarray(fp(x), dtype=float)
@@ -306,7 +358,7 @@ def hellinger_sq_quadrature(
             raise DomainError("negative density values in Hellinger quadrature")
         return (np.sqrt(np.clip(fv, 0.0, None)) - np.sqrt(np.clip(gv, 0.0, None))) ** 2
 
-    value, err = integrate(integrand, domain[0], domain[1], knots=knots, panels=16)
+    value, err = integrate(integrand, 0.0, 1.0, knots=knots, panels=16)
     return max(value, 0.0), err
 
 
@@ -337,9 +389,3 @@ def tv_discrete(a: DiscreteLaw, b: DiscreteLaw) -> float:
     """Exact total variation (half L1) between finite laws."""
     pa, pb = _masses_on_union(a, b)
     return float(0.5 * np.abs(pa - pb).sum())
-
-
-def normal_support(a: NormalSpec, b: NormalSpec) -> tuple[float, float]:
-    """Truncated quadrature domain holding all but ~1e-15 of both masses."""
-    sd = max(math.sqrt(a.variance), math.sqrt(b.variance))
-    return min(a.mean, b.mean) - 8.0 * sd, max(a.mean, b.mean) + 8.0 * sd

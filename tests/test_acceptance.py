@@ -26,13 +26,12 @@ from lecam.measures import (
     DiscreteLaw,
     NormalSpec,
     hellinger_sq_discrete,
-    hellinger_sq_normal,
     hellinger_sq_product,
-    hellinger_sq_quadrature,
-    normal_support,
+    normal_distance,
     tv_discrete,
     tv_sandwich,
 )
+from lecam.quadrature import integrate
 from lecam.rng import substream_seq
 
 COSINE = cosine([0.3])
@@ -52,17 +51,33 @@ def _simpson_weights(lo, hi, panels):
     return np.linspace(lo, hi, 2 * panels + 1), w
 
 
+def _pdf(s, x):
+    return np.exp(-((x - s.mean) ** 2) / (2.0 * s.variance)) / math.sqrt(
+        2.0 * math.pi * s.variance
+    )
+
+
+def _support(a, b):
+    """A truncated domain holding all but ~1e-15 of both normal masses."""
+    sd = max(math.sqrt(a.variance), math.sqrt(b.variance))
+    return min(a.mean, b.mean) - 8.0 * sd, max(a.mean, b.mean) + 8.0 * sd
+
+
+def _h2_normal(a, b):
+    return normal_distance(a, b, "hellinger-sq").value
+
+
 def _h2_gaussian_pair_bruteforce(a1, b1, a2, b2):
     """Tensor-product quadrature of H^2 between two 2-d product Gaussians."""
-    lo1, hi1 = normal_support(a1, b1)
-    lo2, hi2 = normal_support(a2, b2)
+    lo1, hi1 = _support(a1, b1)
+    lo2, hi2 = _support(a2, b2)
     prev, panels = None, 64
     while True:
         x, wx = _simpson_weights(lo1, hi1, panels)
         y, wy = _simpson_weights(lo2, hi2, panels)
         diff = (
-            np.sqrt(np.outer(a1.pdf(x), a2.pdf(y)))
-            - np.sqrt(np.outer(b1.pdf(x), b2.pdf(y)))
+            np.sqrt(np.outer(_pdf(a1, x), _pdf(a2, y)))
+            - np.sqrt(np.outer(_pdf(b1, x), _pdf(b2, y)))
         ) ** 2
         val = float(wx @ diff @ wy)
         if prev is not None and abs(val - prev) < 1e-10:
@@ -93,8 +108,11 @@ def test_criterion_1_closed_form_vs_quadrature():
     for _ in range(100):
         a = NormalSpec(rng.uniform(-3, 3), rng.uniform(0.25, 4.0))
         b = NormalSpec(rng.uniform(-3, 3), rng.uniform(0.25, 4.0))
-        closed = hellinger_sq_normal(a, b)
-        quad, _ = hellinger_sq_quadrature(a, b, domain=normal_support(a, b))
+        closed = _h2_normal(a, b)
+        quad, _ = integrate(
+            lambda x: (np.sqrt(_pdf(a, x)) - np.sqrt(_pdf(b, x))) ** 2,
+            *_support(a, b), panels=16,
+        )
         worst = max(worst, abs(closed - quad))
     elapsed = time.monotonic() - start
     _report(
@@ -121,7 +139,7 @@ def test_criterion_2_product_rule_and_subadditivity():
             specs[0][0], specs[0][1], specs[1][0], specs[1][1]
         )
         formula = hellinger_sq_product(
-            [hellinger_sq_normal(a, b) for a, b in specs]
+            [_h2_normal(a, b) for a, b in specs]
         )
         worst = max(worst, abs(brute - formula))
     # discrete: 3- and 4-component joint enumeration vs the product formula

@@ -7,7 +7,9 @@ import pytest
 import lecam.cli
 import lecam.harness
 import lecam.kernels
-from lecam.cli import _normal_crossings, main
+import lecam.measures
+import lecam.quadrature
+from lecam.cli import main
 from lecam.densities import cosine
 from lecam.experiments import load_samples, sample_iid, save_samples
 from lecam.harness import verify_transport
@@ -58,8 +60,20 @@ class TestDistance:
         # the narrower law has the excess mass exactly between the crossings
         from scipy.stats import norm
 
+        from scipy.optimize import brentq
+
         narrow, wide = sorted((NormalSpec(*a), NormalSpec(*b)), key=lambda s: s.variance)
-        lo, hi = sorted(_normal_crossings(narrow, wide))
+
+        def log_ratio(x):  # log of narrow / wide; positive at the narrow mean
+            return (
+                (x - wide.mean) ** 2 / (2.0 * wide.variance)
+                - (x - narrow.mean) ** 2 / (2.0 * narrow.variance)
+                + 0.5 * math.log(wide.variance / narrow.variance)
+            )
+
+        far = 50.0 * math.sqrt(wide.variance) + abs(wide.mean - narrow.mean)
+        lo = brentq(log_ratio, narrow.mean - far, narrow.mean, xtol=1e-15)
+        hi = brentq(log_ratio, narrow.mean, narrow.mean + far, xtol=1e-15)
 
         def mass(s):
             sd = math.sqrt(s.variance)
@@ -83,20 +97,65 @@ class TestDistance:
         assert record["method"] == "quadrature"
         assert 0.0 < record["value"] < 2.0
 
-    def test_normal_crossings_of_unequal_variances(self):
-        # phi(x) = phi(x / 2) / 2  <=>  x^2 = (8 / 3) ln 2
-        a, b = NormalSpec(0.0, 1.0), NormalSpec(0.0, 4.0)
-        for lo, hi in (sorted(_normal_crossings(a, b)), sorted(_normal_crossings(b, a))):
-            assert lo == pytest.approx(-1.35956, abs=1e-5)
-            assert hi == pytest.approx(1.35956, abs=1e-5)
-            assert a.pdf(hi) == pytest.approx(b.pdf(hi), rel=1e-12)
+    @pytest.mark.parametrize("metric", ["tv", "hellinger", "hellinger-sq", "l1", "l2"])
+    def test_normal_pairs_never_integrate(self, metric, monkeypatch, capsys):
+        calls = []
 
-    def test_normal_crossings_of_shifted_unequal_variances(self):
-        a, b = NormalSpec(0.5, 0.3), NormalSpec(-1.0, 2.5)
-        roots = _normal_crossings(a, b)
-        assert len(roots) == 2
-        for x in roots:
-            assert a.pdf(x) == pytest.approx(b.pdf(x), rel=1e-10)
+        def spy(name, original):
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return recorded
+
+        for module in (lecam.cli, lecam.measures, lecam.quadrature):
+            for name in ("integrate", "hellinger_sq_quadrature"):
+                if hasattr(module, name):
+                    spied = spy(f"{module.__name__}.{name}", getattr(module, name))
+                    monkeypatch.setattr(module, name, spied)
+        code, out, _ = run(
+            ["distance", "--normal=0.3,1e-4", "--normal=-0.4,2", "--metric", metric], capsys
+        )
+        assert (code, calls) == (0, [])
+        assert json.loads(out)["method"] == "closed_form"
+        # the same spies do see the density route
+        argv = ["distance", "--density", "uniform", "--density", "cosine:0.3", "--metric", metric]
+        assert run(argv, capsys)[0] == 0 and calls
+
+    @pytest.mark.parametrize(
+        "a, b, metric, want",
+        [
+            ("0,1", "0,1.000000001", "hellinger-sq", 1.2500002056e-19),
+            ("0,1e200", "1e200,1", "l2", 1.0 / (2.0 * math.sqrt(math.pi))),
+            ("0,1e-300", "0,1e300", "tv", 1.0),
+        ],
+    )
+    def test_extreme_normal_pairs_print_a_value(self, a, b, metric, want, capsys):
+        # once 0.0 for a true 1.25e-19, an OverflowError (exit 1) and exit 3
+        code, out, _ = run(["distance", f"--normal={a}", f"--normal={b}", "--metric", metric],
+                           capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert abs(record["value"] - want) <= record["abs_error"] + 1e-11 * want
+
+    def test_near_identical_h2_within_printed_error(self, capsys):
+        import mpmath as mp
+
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            m, v = float(rng.uniform(-5, 5)), float(10.0 ** rng.uniform(-3, 3))
+            mb = m + math.sqrt(v) * float(rng.uniform(-1e-6, 1e-6))
+            vb = v * (1.0 + float(rng.uniform(-1e-6, 1e-6)))
+            code, out, _ = run(["distance", f"--normal={m!r},{v!r}", f"--normal={mb!r},{vb!r}",
+                                "--metric", "hellinger-sq"], capsys)
+            assert code == 0
+            record = json.loads(out)
+            with mp.workdps(50):
+                ma, va, mbb, vbb = (mp.mpf(x) for x in (m, v, mb, vb))
+                s = va + vbb
+                g = mp.sqrt(2 * mp.sqrt(va * vbb) / s)
+                ref = float(2 * ((1 - g) - g * mp.expm1(-(mbb - ma) ** 2 / (4 * s))))
+            assert abs(record["value"] - ref) <= record["abs_error"] + 1e-11 * ref
 
     def test_invalid_variance_exits_2(self, capsys):
         code, _, err = run(["distance", "--normal", "0,1", "--normal", "0,-1"], capsys)
@@ -321,6 +380,15 @@ class TestTransport:
         )
         assert code == 2
 
+    def test_counts_beyond_int64_exit_2(self, capsys):
+        # once an OverflowError traceback with exit 1
+        code, out, err = run(
+            ["transport", "--counts", "99999999999999999999,1", "--m", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad counts vector")
+
     def test_input_file_mode(self, tmp_path, capsys):
         sample = tmp_path / "in.txt"
         sample.write_text("0.1\n0.4\n0.9\n")
@@ -445,3 +513,24 @@ class TestTransport:
     def test_m_required_without_auto(self, capsys):
         code, _, _ = run(["transport", "--n", "5", "--seed", "3"], capsys)
         assert code == 2
+
+
+class TestInternalErrors:
+    """Unexpected exceptions exit 4 with one line, so exit 1 means only a failed check."""
+
+    def test_overflowing_envelope_exits_4(self, capsys):
+        # M = 1e308 overflows sample_iid's batch size before anything is allocated
+        code, out, err = run(
+            ["transport", "--n", "10", "--m", "4", "--seed", "1", "--M", "1e308"], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: OverflowError: ")
+        assert err.count("\n") == 1
+
+    def test_any_other_exception_exits_4(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(lecam.cli, "cmd_distance", broken)
+        code, out, err = run(["distance", "--normal", "0,1", "--normal", "1,1"], capsys)
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")

@@ -1,27 +1,30 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from lecam import measures
 from lecam.densities import uniform
 from lecam.errors import DomainError, NumericalError, UsageError
 from lecam.measures import (
+    METRICS,
     DiscreteLaw,
     DistanceReport,
     NormalSpec,
     PiecewiseLinearDensity,
     hellinger_sq_discrete,
-    hellinger_sq_normal,
     hellinger_sq_product,
     hellinger_sq_quadrature,
-    normal_support,
+    normal_distance,
     tv_discrete,
     tv_sandwich,
 )
+from lecam.quadrature import integrate
 
 # frozen oracle: 2 (1 - exp(-1/8)), cross-checked against quadrature below
 H2_N01_N11 = 0.2350061948308091
@@ -33,13 +36,155 @@ def masses(n):
     ).map(lambda w: [x / sum(w) for x in w])
 
 
+def h2(a, b):
+    return normal_distance(a, b, "hellinger-sq").value
+
+
+def normal_pdf(s, x):
+    x = np.asarray(x, dtype=float)
+    return np.exp(-((x - s.mean) ** 2) / (2.0 * s.variance)) / math.sqrt(
+        2.0 * math.pi * s.variance
+    )
+
+
+def phi(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def mass(s, lo, hi):
+    sd = math.sqrt(s.variance)
+    return phi((hi - s.mean) / sd) - phi((lo - s.mean) / sd)
+
+
+def crossings(a, b):
+    """Sorted points where the two normal densities are equal, by brentq.
+
+    The narrower law's density is the larger at its own mean, so each root is
+    bracketed between that mean and a point far enough out on either side.
+    """
+    narrow, wide = sorted((a, b), key=lambda s: s.variance)
+
+    def log_ratio(x):
+        return (
+            -((x - narrow.mean) ** 2) / (2.0 * narrow.variance)
+            + (x - wide.mean) ** 2 / (2.0 * wide.variance)
+            + 0.5 * math.log(wide.variance / narrow.variance)
+        )
+
+    roots = []
+    for side in (-1.0, 1.0):
+        far = math.sqrt(wide.variance)
+        while log_ratio(narrow.mean + side * far) > 0.0 and far < 1e12:
+            far *= 2.0
+        if log_ratio(narrow.mean + side * far) < 0.0:
+            ends = sorted((narrow.mean, narrow.mean + side * far))
+            roots.append(brentq(log_ratio, *ends, xtol=1e-15, rtol=1e-15))
+    return sorted(roots)
+
+
+def quadrature_distance(a, b, metric):
+    """The former quadrature route: a truncated domain with the L1 kinks and
+    each mean +- 8 sd as knots, so a narrow law gets panels of its own width."""
+    sd = max(math.sqrt(a.variance), math.sqrt(b.variance))
+    lo, hi = min(a.mean, b.mean) - 8.0 * sd, max(a.mean, b.mean) + 8.0 * sd
+    spans = [s.mean + k * 8.0 * math.sqrt(s.variance) for s in (a, b) for k in (-1, 1)]
+    knots = crossings(a, b) + spans
+
+    def gap(x):
+        return normal_pdf(a, x) - normal_pdf(b, x)
+
+    if metric in ("hellinger", "hellinger-sq"):
+        value, _ = integrate(
+            lambda x: (np.sqrt(normal_pdf(a, x)) - np.sqrt(normal_pdf(b, x))) ** 2,
+            lo, hi, knots=knots, panels=16,
+        )
+        return value if metric == "hellinger-sq" else math.sqrt(max(value, 0.0))
+    if metric == "l2":
+        return integrate(lambda x: gap(x) ** 2, lo, hi, knots=knots)[0]
+    l1, _ = integrate(lambda x: np.abs(gap(x)), lo, hi, knots=knots)
+    return l1 / 2.0 if metric == "tv" else l1
+
+
+mp.mp.dps = 50
+
+
+def _mp_ncdf(z):
+    # mpmath's erfc fails on astronomically large arguments; Phi is 0 or 1 there
+    return mp.mpf(1) if z > 1e6 else mp.mpf(0) if z < -1e6 else mp.ncdf(z)
+
+
+def mp_reference(a, b, metric):
+    """The distance in 50-digit arithmetic, straight from its definition."""
+    ma, va, mb, vb = (mp.mpf(x) for x in (a.mean, a.variance, b.mean, b.variance))
+    d, s = mb - ma, va + vb
+    if metric in ("hellinger", "hellinger-sq"):
+        g = mp.sqrt(2 * mp.sqrt(va * vb) / s)
+        # 1 - g e, split so that a mean shift far below 1e-50 still shows
+        value = 2 * ((1 - g) - g * mp.expm1(-d * d / (4 * s)))
+        return value if metric == "hellinger-sq" else mp.sqrt(value)
+    if metric == "l2":
+        # int phi_a phi_b = N(d; 0, va + vb)
+        def cross(v):
+            return 1 / mp.sqrt(2 * mp.pi * v)
+
+        spread = cross(2 * va) + cross(2 * vb) - 2 * cross(s)
+        return spread - 2 * cross(s) * mp.expm1(-d * d / (2 * s))
+    # TV is affine invariant: take the narrower law to N(0, 1), the other to N(mu, r^2)
+    if va > vb:
+        ma, va, mb, vb = mb, vb, ma, va
+    mu, r2 = (mb - ma) / mp.sqrt(va), vb / va
+    qa, qb, qc = (1 - 1 / r2) / 2, mu / r2, -mu * mu / (2 * r2) - mp.log(r2) / 2
+    if qa == 0:  # equal variances: one crossing, at mu / 2
+        roots = [] if qb == 0 else [-qc / qb]
+    else:
+        root = mp.sqrt(qb * qb - 4 * qa * qc)
+        roots = sorted([(-qb - root) / (2 * qa), (-qb + root) / (2 * qa)])
+    cuts = [-mp.inf] + roots + [mp.inf]
+    tv = mp.mpf(0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo == -mp.inf:
+            probe = mu / 2 if hi == mp.inf else hi - 1 - abs(hi)
+        else:
+            probe = lo + 1 + abs(lo) if hi == mp.inf else (lo + hi) / 2
+        # add the stretches where N(0, 1) has the larger density
+        if -probe * probe / 2 + (probe - mu) ** 2 / (2 * r2) + mp.log(r2) / 2 > 0:
+            sw = mp.sqrt(r2)
+            tv += _mp_ncdf(hi) - _mp_ncdf(lo)
+            tv -= _mp_ncdf((hi - mu) / sw) - _mp_ncdf((lo - mu) / sw)
+    return tv if metric == "tv" else 2 * tv
+
+
+def assert_matches_reference(a, b, metric):
+    report = normal_distance(a, b, metric)
+    ref = mp_reference(a, b, metric)
+    scale = 1.0 / math.sqrt(a.variance) + 1.0 / math.sqrt(b.variance) if metric == "l2" else 1.0
+    err = abs(mp.mpf(report.value) - ref)
+    assert err <= 1e-15 * scale + 1e-9 * abs(ref), (metric, a, b, report.value, ref)
+    assert report.method == "closed_form"
+
+
+finite_means = st.floats(min_value=-1e300, max_value=1e300)
+variances = st.floats(min_value=1e-300, max_value=1e300)
+normals = st.builds(NormalSpec, finite_means, variances)
+# far enough inside the range that a scale by 2^+-60 stays finite and normal
+inner_normals = st.builds(NormalSpec, st.floats(-1e280, 1e280), st.floats(1e-260, 1e260))
+
+
+@st.composite
+def near_identical_pairs(draw):
+    """A law and a copy whose mean and variance move by at most 1e-3 relative."""
+    a = draw(st.builds(NormalSpec, st.floats(-1e6, 1e6), st.floats(1e-6, 1e6)))
+    dm, dv = (draw(st.floats(-1e-3, 1e-3)) for _ in range(2))
+    return a, NormalSpec(a.mean + dm * math.sqrt(a.variance), a.variance * (1.0 + dv))
+
+
 class TestHellingerNormal:
     def test_identical_is_zero(self):
         a = NormalSpec(0.0, 1.0)
-        assert hellinger_sq_normal(a, a) == 0.0
+        assert h2(a, a) == 0.0
 
     def test_unit_shift_closed_form(self):
-        got = hellinger_sq_normal(NormalSpec(0.0, 1.0), NormalSpec(1.0, 1.0))
+        got = h2(NormalSpec(0.0, 1.0), NormalSpec(1.0, 1.0))
         assert got == pytest.approx(H2_N01_N11, abs=1e-15)
         assert got == pytest.approx(2.0 * (1.0 - math.exp(-0.125)), abs=1e-15)
 
@@ -48,9 +193,8 @@ class TestHellingerNormal:
         for _ in range(20):
             a = NormalSpec(rng.uniform(-3, 3), rng.uniform(0.25, 4.0))
             b = NormalSpec(rng.uniform(-3, 3), rng.uniform(0.25, 4.0))
-            closed = hellinger_sq_normal(a, b)
-            quad, _ = hellinger_sq_quadrature(a, b, domain=normal_support(a, b))
-            assert quad == pytest.approx(closed, abs=1e-6)
+            closed = h2(a, b)
+            assert quadrature_distance(a, b, "hellinger-sq") == pytest.approx(closed, abs=1e-6)
             assert 0.0 <= closed <= 2.0
 
     def test_variance_ratio_inequality(self):
@@ -63,13 +207,11 @@ class TestHellingerNormal:
                 2.0 * abs(1.0 - a.variance / b.variance)
                 + (a.mean - b.mean) ** 2 / (2.0 * b.variance)
             )
-            assert hellinger_sq_normal(a, b) <= bound + 1e-12
+            assert h2(a, b) <= bound + 1e-12
 
     def test_symmetry(self):
         a, b = NormalSpec(-1.0, 0.5), NormalSpec(2.0, 3.0)
-        assert hellinger_sq_normal(a, b) == pytest.approx(
-            hellinger_sq_normal(b, a), abs=1e-15
-        )
+        assert h2(a, b) == pytest.approx(h2(b, a), abs=1e-15)
 
     @pytest.mark.parametrize(
         "mean, variance",
@@ -84,6 +226,125 @@ class TestHellingerNormal:
             NormalSpec(0.0, -1.0)
         with pytest.raises(DomainError):
             NormalSpec(0.0, 0.0)
+
+
+class TestNormalDistance:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(normals, normals)
+    def test_matches_50_digit_reference(self, a, b):
+        for metric in METRICS:
+            assert_matches_reference(a, b, metric)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_identical_pairs())
+    def test_near_identical_pairs_match_reference(self, pair):
+        for metric in METRICS:
+            assert_matches_reference(*pair, metric)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((0.0, 1.0), (0.0, 1.000000001)),  # H^2 = 1.25e-19, once printed as 0.0
+            ((0.0, 1e200), (1e200, 1.0)),  # once an OverflowError on mean ** 2
+            ((0.0, 1e-300), (0.0, 1e300)),  # once a quadrature that hit its panel cap
+            ((-1e300, 1e-300), (1e300, 1e-300)),
+            ((0.0, 5e-324), (1.0, 1.7e308)),  # r overflows a double
+            ((0.0, 1.0), (1e-300, 1.0)),  # a shift whose square underflows
+        ],
+    )
+    def test_extreme_pairs_match_reference(self, a, b):
+        for metric in METRICS:
+            assert_matches_reference(NormalSpec(*a), NormalSpec(*b), metric)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(normals, normals)
+    def test_symmetry(self, a, b):
+        for metric in METRICS:
+            assert normal_distance(a, b, metric) == normal_distance(b, a, metric)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.builds(NormalSpec, st.floats(-10, 10), st.floats(0.01, 100)),
+        st.builds(NormalSpec, st.floats(-10, 10), st.floats(0.01, 100)),
+        st.floats(1e-3, 1e3),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-100, 100),
+    )
+    def test_affine_invariance(self, a, b, scale, sign, offset):
+        # x -> c (x + k): rounding m + k moves a standardized mean by <= 3e-13
+        c = sign * scale
+
+        def image(s):
+            return NormalSpec(c * (s.mean + offset), c * c * s.variance)
+
+        for metric in ("tv", "hellinger", "hellinger-sq"):
+            got = normal_distance(image(a), image(b), metric).value
+            want = normal_distance(a, b, metric).value
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        got = normal_distance(image(a), image(b), "l2").value
+        assert got == pytest.approx(normal_distance(a, b, "l2").value / scale, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inner_normals, inner_normals, st.integers(-60, 60))
+    def test_l2_scales_as_inverse_sigma(self, a, b, j):
+        # a power-of-two scale is exact on the parameters
+        c = 2.0**j
+        scaled = [NormalSpec(c * s.mean, c * c * s.variance) for s in (a, b)]
+        got = normal_distance(*scaled, "l2").value
+        assert got == pytest.approx(normal_distance(a, b, "l2").value / c, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.floats(-3, 3), st.floats(-3, 3), st.floats(0.25, 4.0), st.floats(-8.0, 8.0),
+        st.sampled_from(METRICS),
+    )
+    def test_matches_former_quadrature(self, ma, mb, va, log_ratio, metric):
+        a, b = NormalSpec(ma, va), NormalSpec(mb, va * 10.0**log_ratio)
+        quad = quadrature_distance(a, b, metric)
+        assert normal_distance(a, b, metric).value == pytest.approx(quad, rel=1e-6, abs=1e-6)
+
+    def test_tv_at_crossings_of_unequal_variances(self):
+        # phi(x) = phi(x / 2) / 2  <=>  x^2 = (8 / 3) ln 2
+        a, b = NormalSpec(0.0, 1.0), NormalSpec(0.0, 4.0)
+        c = math.sqrt(8.0 / 3.0 * math.log(2.0))
+        assert c == pytest.approx(1.35956, abs=1e-5)
+        assert normal_pdf(a, c) == pytest.approx(normal_pdf(b, c), rel=1e-12)
+        exact = mass(a, -c, c) - mass(b, -c, c)
+        for x, y in ((a, b), (b, a)):
+            assert normal_distance(x, y, "tv").value == pytest.approx(exact, abs=1e-15)
+
+    def test_tv_at_crossings_of_shifted_unequal_variances(self):
+        a, b = NormalSpec(0.5, 0.3), NormalSpec(-1.0, 2.5)
+        lo, hi = crossings(a, b)
+        for x in (lo, hi):
+            assert normal_pdf(a, x) == pytest.approx(normal_pdf(b, x), rel=1e-10)
+        exact = mass(a, lo, hi) - mass(b, lo, hi)
+        assert normal_distance(a, b, "tv").value == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((0.0, 1.0), (81.0, 1.0)),  # |mu| > 40 (1 + r)
+            ((-1e300, 1.0), (1e300, 1.0)),  # the mean shift overflows
+            ((0.0, 5e-324), (0.0, 1.7e308)),  # r overflows
+        ],
+    )
+    def test_disjoint_limits_are_exact(self, a, b):
+        a, b = NormalSpec(*a), NormalSpec(*b)
+        assert normal_distance(a, b, "tv").value == 1.0
+        assert normal_distance(a, b, "l1").value == 2.0
+        assert normal_distance(a, b, "hellinger-sq").value == 2.0
+        assert normal_distance(a, b, "hellinger").value == math.sqrt(2.0)
+
+    def test_abs_error_bounds_only_the_phi_terms(self):
+        a, b = NormalSpec(0.3, 1.5), NormalSpec(-0.4, 0.7)
+        errors = {m: normal_distance(a, b, m).abs_error for m in METRICS}
+        assert errors["tv"] > 0.0 and errors["l1"] == 2.0 * errors["tv"]
+        assert errors["hellinger"] == errors["hellinger-sq"] == errors["l2"] == 0.0
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(DomainError):
+            normal_distance(NormalSpec(0.0, 1.0), NormalSpec(1.0, 1.0), "kl")
 
 
 class TestHellingerProduct:
