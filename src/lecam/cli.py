@@ -192,12 +192,15 @@ def cmd_transport(args) -> int:
     seed = substream_seq(args.seed, "chain")
     if args.counts is not None:
         try:
-            counts = np.asarray([int(v) for v in args.counts.split(",")], dtype=int)
+            values = [int(v) for v in args.counts.split(",")]
+            counts = np.asarray(values, dtype=int)
         except (ValueError, OverflowError):  # OverflowError: a count beyond int64
             raise UsageError(f"bad counts vector {args.counts!r}") from None
         if counts.size != args.m:
             raise UsageError(f"counts vector must have m={args.m} entries")
-        n = int(counts.sum())
+        n = sum(values)  # Python ints: counts.sum() would wrap past int64
+        if n > np.iinfo(np.int64).max:
+            raise UsageError(f"counts total {n} exceeds the int64 range")
         if n < 1:
             raise UsageError("transport needs at least one sample point")
         ys = transport_chain(n, args.m).sample(counts, seed, start=1)

@@ -57,10 +57,14 @@ def cosine(coeffs, gamma: float = 1.0) -> DensityModel:
     def pdf(x):
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x)
+        term = np.empty_like(out)
         for kk, ak in zip(k, a):
             if ak == 0.0:
                 continue
-            out += ak * np.cos(_TWO_PI * kk * x)
+            np.multiply(_TWO_PI * kk, x, out=term)
+            np.cos(term, out=term)
+            term *= ak
+            out += term
         return out
 
     def deriv(x):

@@ -85,6 +85,9 @@ class ChainBound:
         return float(sum(self.links().values()))
 
 
+_MINIMIZE_WINDOW = 64  # minimize_total scans at most this many bin counts
+
+
 def _rate_mn(n, m, gamma):
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -171,11 +174,29 @@ def total_bound_curve(n: int, gamma: float, C_R: float, m_values) -> np.ndarray:
 
 
 def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:
-    """Grid-search minimizer of the chain total over every m in [2, n]."""
-    m_grid = np.arange(2, max(n, 2) + 1)
-    totals = total_bound_curve(n, gamma, C_R, m_grid)
+    """First minimizer of the chain total over every m in [2, n], and its total.
+
+    Each link is convex in m: sqrt(n) m^{-3/2} and sqrt(n) m^{-1-gamma} are
+    convex and decreasing, C_R (m ln m + m) / sqrt(n) is convex and
+    increasing, so their sum is convex.  Bisecting on the sign of the
+    forward difference T(m+1) - T(m) therefore keeps the first minimizer
+    inside [lo, hi]; a final argmin over a window of at most
+    ``_MINIMIZE_WINDOW`` points absorbs rounding near the flat bottom.
+    Every total comes from ``total_bound_curve``, so the result equals a
+    full-grid argmin bit for bit, with O(log n) evaluations and memory.
+    """
+    lo, hi = 2, max(n, 2)
+    while hi - lo >= _MINIMIZE_WINDOW:
+        mid = (lo + hi) // 2
+        here, after = total_bound_curve(n, gamma, C_R, [mid, mid + 1])
+        if after < here:
+            lo = mid + 1
+        else:
+            hi = mid
+    m_window = np.arange(lo, hi + 1)
+    totals = total_bound_curve(n, gamma, C_R, m_window)
     k = int(np.argmin(totals))
-    return int(m_grid[k]), float(totals[k])
+    return int(m_window[k]), float(totals[k])
 
 
 def target_rate(n: int, gamma: float) -> float:

@@ -115,20 +115,26 @@ def sample_iid(f: DensityModel, n: int, seed) -> np.ndarray:
     """n independent draws from f by rejection under the envelope M * U[0,1]."""
     if n < 0:
         raise UsageError(f"n must be >= 0, got {n}")
+    # the first batch is the largest; a bound that cannot size it is a domain error
+    if not 1.05 * f.M * n < 2.0**63:
+        raise DomainError(
+            f"{f.name}: class bound M={f.M:g} is too large to size a rejection batch "
+            f"for n={n}"
+        )
     rng = substream(seed, "iid")
     out = np.empty(n, dtype=float)
     filled = 0
     guard = 0
     while filled < n:
         batch = max(int(1.05 * f.M * (n - filled)) + 16, 64)
-        x = rng.uniform(size=batch)
-        u = rng.uniform(size=batch)
+        x, u = rng.random((2, batch))  # the same draws as two uniform(size=batch) calls
         fx = np.asarray(f.pdf(x), dtype=float)
         if fx.max() > f.M * (1.0 + 1e-9):
             raise DomainError(
                 f"{f.name}: density value {fx.max():g} exceeds envelope M={f.M}"
             )
-        accepted = x[u * f.M <= fx]
+        u *= f.M
+        accepted = x[u <= fx]
         take = min(accepted.size, n - filled)
         out[filled : filled + take] = accepted[:take]
         filled += take

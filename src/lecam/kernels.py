@@ -94,22 +94,30 @@ class TentBasis:
         return self.mixture(np.eye(self.m)).cdf(np.atleast_1d(t))
 
     def ppf_indexed(self, j_idx, u) -> np.ndarray:
-        """Inverse CDF of V_{j_idx+1} at u, vectorized over both arrays."""
-        j0 = np.asarray(j_idx, dtype=int)
-        u = np.asarray(u, dtype=float)
+        """Inverse CDF of V_{j_idx+1} at u, vectorized over both arrays.
+
+        For u <= 1/2 the draw rises from the left neighbour's midpoint by
+        sqrt(2u)/m, above it falls back from the right neighbour's by
+        sqrt(2(1-u))/m; the flat outer halves of V_1 and V_m are linear in u.
+        """
+        j0, u = np.broadcast_arrays(
+            np.asarray(j_idx, dtype=int), np.asarray(u, dtype=float)
+        )
         if j0.size and (j0.min() < 0 or j0.max() >= self.m):
             raise UsageError("tent index out of range")
         m, xs = float(self.m), self.midpoints
-        xs_prev = xs[np.clip(j0 - 1, 0, self.m - 1)]
-        xs_self = xs[j0]
-        xs_next = xs[np.clip(j0 + 1, 0, self.m - 1)]
-        low = xs_prev + np.sqrt(2.0 * u) / m
-        high = xs_next - np.sqrt(2.0 * (1.0 - u)) / m
-        out = np.where(u <= 0.5, low, high)
-        out = np.where((j0 == 0) & (u <= 0.5), u / m, out)
-        out = np.where(
-            (j0 == self.m - 1) & (u > 0.5), xs_self + (u - 0.5) / m, out
-        )
+        # start knots: entry j for u <= 1/2, entry m + j for u > 1/2
+        starts = np.concatenate([xs[:1], xs[:-1], xs[1:], xs[-1:]])
+        upper = u > 0.5
+        # asarray: for 0-d input np.take returns a scalar, not a writable array
+        out = np.asarray(np.take(starts, j0 + self.m * upper))
+        step = np.sqrt(2.0 * np.minimum(u, 1.0 - u)) / m
+        step *= 1.0 - 2.0 * upper
+        out += step
+        first = (j0 == 0) & ~upper
+        out[first] = u[first] / m
+        last = (j0 == self.m - 1) & upper
+        out[last] = xs[-1] + (u[last] - 0.5) / m
         return out
 
     def snap(self, x) -> np.ndarray:

@@ -389,6 +389,24 @@ class TestTransport:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad counts vector")
 
+    def test_counts_total_beyond_int64_exit_2(self, capsys):
+        # each entry fits in int64 but their sum does not; counts.sum() would wrap
+        code, out, err = run(
+            ["transport", "--counts", "9223372036854775807,1", "--m", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: counts total 9223372036854775808 exceeds the int64 range\n"
+
+    def test_overflowing_envelope_exits_2(self, capsys):
+        # M = 1e308 cannot size sample_iid's rejection batch; refused before any draw
+        code, out, err = run(
+            ["transport", "--n", "10", "--m", "4", "--seed", "1", "--M", "1e308"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cosine:0.3: class bound M=1e+308 is too large")
+        assert err.count("\n") == 1
+
     def test_input_file_mode(self, tmp_path, capsys):
         sample = tmp_path / "in.txt"
         sample.write_text("0.1\n0.4\n0.9\n")
@@ -517,15 +535,6 @@ class TestTransport:
 
 class TestInternalErrors:
     """Unexpected exceptions exit 4 with one line, so exit 1 means only a failed check."""
-
-    def test_overflowing_envelope_exits_4(self, capsys):
-        # M = 1e308 overflows sample_iid's batch size before anything is allocated
-        code, out, err = run(
-            ["transport", "--n", "10", "--m", "4", "--seed", "1", "--M", "1e308"], capsys
-        )
-        assert (code, out) == (4, "")
-        assert err.startswith("internal error: OverflowError: ")
-        assert err.count("\n") == 1
 
     def test_any_other_exception_exits_4(self, monkeypatch, capsys):
         def broken(args):

@@ -32,6 +32,16 @@ def test_cosine_clamps_into_class():
     f.validate()
 
 
+def test_cosine_pdf_sums_terms_in_order():
+    # 1 + a_1 cos(2 pi x) + a_2 cos(4 pi x) + ..., accumulated term by term
+    a = [0.2, -0.1, 0.05]
+    for x in (GRID, np.asarray(0.3)):
+        want = np.ones_like(x)
+        for k, ak in enumerate(a, start=1):
+            want += ak * np.cos(2.0 * np.pi * k * x)
+        assert cosine(a).pdf(x).tobytes() == want.tobytes()
+
+
 def test_cosine_rejects_empty():
     with pytest.raises(DomainError):
         cosine([])

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lecam.equivalence
 from lecam.densities import cosine, uniform
 from lecam.equivalence import (
     ChainBound,
@@ -178,6 +180,55 @@ class TestTotalBound:
             _, best = minimize_total(n, 1.0)
             ratios.append(best / target_rate(n, 1.0))
         assert max(ratios) / min(ratios) <= 4.0
+
+
+def _full_grid_argmin(n, gamma, C_R):
+    m = np.arange(2, max(n, 2) + 1)
+    totals = total_bound_curve(n, gamma, C_R, m)
+    k = int(np.argmin(totals))
+    return int(m[k]), float(totals[k])
+
+
+def _minimize_cases():
+    rng = np.random.default_rng(20)
+    ns = list(range(2, 141)) + [int(v) for v in rng.integers(141, 2**21, 40)] + [2**20]
+    return [
+        (n, float(rng.uniform(0.01, 1.0)), float(10.0 ** rng.uniform(-6.0, 4.0)))
+        for n in ns
+    ]
+
+
+class TestMinimizeTotal:
+    # n in 2..140 crosses the edges of the final argmin window
+    @pytest.mark.parametrize("n, gamma, C_R", _minimize_cases())
+    def test_equals_the_full_grid_argmin(self, n, gamma, C_R):
+        m, total = minimize_total(n, gamma, C_R)
+        want_m, want_total = _full_grid_argmin(n, gamma, C_R)
+        assert m == want_m
+        assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+
+    def test_evaluates_logarithmically_many_points(self, monkeypatch):
+        points = []
+
+        def counting(n, gamma, C_R, m_values):
+            points.append(len(m_values))
+            return total_bound_curve(n, gamma, C_R, m_values)
+
+        monkeypatch.setattr(lecam.equivalence, "total_bound_curve", counting)
+        minimize_total(2**40, 0.7)
+        assert sum(points) <= 2 * 40 + 64
+
+    def test_huge_n_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            m, total = minimize_total(2**40, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert 2 < m < 2**40
+        assert total < total_bound(2**40, 1.0, m=m - 1).total
+        assert total <= total_bound(2**40, 1.0, m=m + 1).total
 
 
 def test_target_rate_branches():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lecam.densities import affine, cosine, uniform
+from lecam.densities import affine, cosine, parse_spec, uniform
 from lecam.errors import DomainError, UsageError
 from lecam.experiments import (
     ThetaVector,
@@ -18,7 +18,7 @@ from lecam.experiments import (
     sqrt_cell_means,
     theta_of,
 )
-from lecam.rng import substream_seq
+from lecam.rng import substream, substream_seq
 
 COSINE = cosine([0.3])
 
@@ -205,3 +205,64 @@ class TestSerialization:
             Trajectory(times=np.array([0.0, 0.5, 0.6]), values=np.zeros(3))
         with pytest.raises(UsageError):
             Trajectory(times=np.array([0.1, 0.2, 0.3]), values=np.zeros(3))
+
+
+def _former_cosine_pdf(coeffs):
+    a = np.asarray(coeffs, dtype=float)
+
+    def pdf(x):
+        out = np.ones_like(x)
+        for kk, ak in zip(np.arange(1, a.size + 1, dtype=float), a):
+            out += ak * np.cos(2.0 * np.pi * kk * x)
+        return out
+
+    return pdf
+
+
+def _two_uniform_rejection(f, pdf, n, seed):
+    """The rejection pass with separate x and u draws; returns (sample, batches)."""
+    rng = substream(seed, "iid")
+    out = np.empty(n)
+    filled = batches = 0
+    while filled < n:
+        batch = max(int(1.05 * f.M * (n - filled)) + 16, 64)
+        x = rng.uniform(size=batch)
+        u = rng.uniform(size=batch)
+        accepted = x[u * f.M <= pdf(x)]
+        take = min(accepted.size, n - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+        batches += 1
+    return out, batches
+
+
+class TestSampleIidDraws:
+    # (spec, seed) pairs whose n = 100 draw needs a second rejection batch
+    @pytest.mark.parametrize(
+        "spec, pdf, multi_batch_seed",
+        [
+            ("cosine:0.3", _former_cosine_pdf([0.3]), 1570),
+            ("cosine:0.1,-0.2", _former_cosine_pdf([0.1, -0.2]), 1511),
+            ("affine:0.5", None, 749),
+        ],
+    )
+    def test_matches_two_uniform_reference(self, spec, pdf, multi_batch_seed):
+        f = parse_spec(spec)
+        pdf = f.pdf if pdf is None else pdf
+        for n, seed in ((100, multi_batch_seed), (5000, 3), (1, 0)):
+            want, batches = _two_uniform_rejection(f, pdf, n, seed)
+            assert sample_iid(f, n, seed).tobytes() == want.tobytes()
+            if n == 100:
+                assert batches > 1
+
+    def test_unsizable_envelope_is_a_domain_error(self, monkeypatch):
+        # 1.05 * M * n overflows int64 (here to inf): refused before any draw
+        huge = dataclasses.replace(COSINE, M=1e308)
+        monkeypatch.setattr(
+            "lecam.experiments.substream",
+            lambda *a: pytest.fail("drew from the stream"),
+        )
+        with pytest.raises(DomainError, match="too large to size a rejection batch"):
+            sample_iid(huge, 10, 1)
+        with pytest.raises(DomainError):
+            sample_iid(dataclasses.replace(COSINE, M=1e17), 100, 1)

@@ -104,6 +104,27 @@ class TestTentBasis:
             res = stats.kstest(draws, lambda t: b.cdf_matrix(t)[j - 1])
             assert res.pvalue >= 1e-3
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 64, 257])
+    def test_ppf_matches_the_branchwise_formula(self, m):
+        # the former three-branch formula, bit for bit, at the edges of u and j
+        b = tent_basis(m)
+        edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0]
+        rng = np.random.default_rng(m)
+        j = np.concatenate([np.repeat(np.arange(m), len(edges)), rng.integers(0, m, 4000)])
+        u = np.concatenate([np.tile(edges, m), rng.random(4000)])
+        xs = b.midpoints
+        xs_prev = xs[np.clip(j - 1, 0, m - 1)]
+        xs_next = xs[np.clip(j + 1, 0, m - 1)]
+        want = np.where(
+            u <= 0.5, xs_prev + np.sqrt(2.0 * u) / m, xs_next - np.sqrt(2.0 * (1.0 - u)) / m
+        )
+        want = np.where((j == 0) & (u <= 0.5), u / m, want)
+        want = np.where((j == m - 1) & (u > 0.5), xs[j] + (u - 0.5) / m, want)
+        assert b.ppf_indexed(j, u).tobytes() == want.tobytes()
+        assert b.ppf_indexed(j[:, None], u[:, None]).tobytes() == want.tobytes()
+        for k in range(len(edges)):  # scalar inputs give 0-d results
+            assert b.ppf_indexed(int(j[k]), float(u[k])).tobytes() == want[k].tobytes()
+
     def test_m_floor(self):
         with pytest.raises(UsageError):
             tent_basis(1)
