@@ -23,7 +23,7 @@ import numpy as np
 from .densities import parse_spec
 from .equivalence import choose_m
 from .errors import DomainError, NumericalError, UsageError
-from .experiments import format_samples, load_samples, sample_iid
+from .experiments import format_float, format_samples, load_samples, sample_iid
 from .harness import rate_sweep, run_suite, sig12
 from .kernels import transport_batch, transport_chain
 from .measures import (
@@ -41,10 +41,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _emit(text: str, out: str) -> None:
@@ -147,8 +143,8 @@ def cmd_sweep(args) -> int:
         lines = ["n,m,measured,bound,ratio"]
         for rec in result.to_records():
             lines.append(
-                f"{rec['n']},{rec['m']},{_fmt(rec['measured'])},"
-                f"{_fmt(rec['bound'])},{_fmt(rec['ratio'])}"
+                f"{rec['n']},{rec['m']},{format_float(rec['measured'])},"
+                f"{format_float(rec['bound'])},{format_float(rec['ratio'])}"
             )
         _emit("\n".join(lines) + "\n", args.out)
     else:

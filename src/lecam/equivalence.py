@@ -167,6 +167,8 @@ def total_bound_curve(n: int, gamma: float, C_R: float, m_values) -> np.ndarray:
     Sums the links in ``ChainBound``'s order, so each entry equals
     ``total_bound(n, gamma, C_R, m).total`` bit for bit.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     m = np.asarray(m_values, dtype=float)
     if m.size and m.min() < 2:
         raise DomainError("bin counts must be >= 2")
@@ -184,6 +186,7 @@ def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:
     ``_MINIMIZE_WINDOW`` points absorbs rounding near the flat bottom.
     Every total comes from ``total_bound_curve``, so the result equals a
     full-grid argmin bit for bit, with O(log n) evaluations and memory.
+    An n below 1 raises ``DomainError`` there, as in ``RateParams``.
     """
     lo, hi = 2, max(n, 2)
     while hi - lo >= _MINIMIZE_WINDOW:

@@ -22,7 +22,7 @@ from scipy import stats
 from .approx import hellinger_bound, reconstruct
 from .equivalence import RateParams, bound_density_reconstruction, choose_m
 from .errors import DomainError, UsageError
-from .experiments import sample_iid, sqrt_cell_means, theta_of
+from .experiments import format_float, sample_iid, sqrt_cell_means, theta_of
 from .kernels import (
     bin_counts,
     counts_to_midpoint_sample,
@@ -58,14 +58,12 @@ RISK_BLOCK = 100    # replications per risk-transfer block
 
 def sig12(x):
     """Round floats to 12 significant digits for stable serialized output."""
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
+    if isinstance(x, (float, np.floating)):
+        return float(format_float(x))
     if isinstance(x, dict):
         return {k: sig12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [sig12(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(f"{float(x):.12g}")
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -492,6 +493,32 @@ class TestTransport:
         argv = ["transport", "--m", str(m), "--seed", str(seed), "--in", str(sample)]
         assert run(argv + ["--out", str(out)], capsys)[0] == 0
         assert out.read_bytes() == want.read_bytes()
+
+    # SHA-256 of stdout at n = 200000, recorded before the vectorized writer:
+    # one (config, seed) gives one byte string
+    PINNED = {
+        "--n": "f5d0ef46ceba49e18a6681380868bbf27038fadeeb870ab8223e4e2df06959f5",
+        "--counts": "8b31ed40baa1019f2b62d60d8e1b32016d8c11ec5cd57d9b27094ef64138922f",
+        "--in": "a8e48794e584bedc39f7de84e16c330a5a243588eda008dd4a5e21891742c5c2",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, mode, tmp_path, capsys):
+        if mode == "--n":
+            argv = ["--n", "200000", "--m", "16", "--seed", "11"]
+        elif mode == "--counts":
+            counts = [10400 + 1400 * (k % 4) for k in range(16)]
+            assert sum(counts) == 200000
+            argv = ["--counts", ",".join(map(str, counts)), "--m", "16", "--seed", "12"]
+        else:
+            xs = sample_iid(cosine([0.3]), 200000, 5)
+            sample = tmp_path / "in.txt"
+            # written by the % reference, so the input does not depend on the writer
+            sample.write_text(("%.12g\n" * xs.size) % tuple(xs.tolist()))
+            argv = ["--in", str(sample), "--m", "20", "--seed", "13"]
+        code, out, _ = run(["transport"] + argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[mode]
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"

@@ -230,6 +230,17 @@ class TestMinimizeTotal:
         assert total < total_bound(2**40, 1.0, m=m - 1).total
         assert total <= total_bound(2**40, 1.0, m=m + 1).total
 
+    # n = 0 used to return (2, inf) with divide-by-zero warnings, n = -4 a bare ValueError
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_below_one_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            minimize_total(n, 0.5)
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            total_bound_curve(n, 0.5, 1.0, [2, 3])
+
+    def test_n_of_one_is_accepted(self):
+        assert minimize_total(1, 0.5) == (2, total_bound(1, 0.5, m=2).total)
+
 
 def test_target_rate_branches():
     n = 4096

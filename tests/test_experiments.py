@@ -2,7 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+
+import lecam.experiments
 
 from lecam.densities import affine, cosine, parse_spec, uniform
 from lecam.errors import DomainError, UsageError
@@ -172,6 +176,68 @@ class TestIncrements:
         )
         assert np.abs(z_mean).max() <= 3.0
         assert np.abs(z_var).max() <= 3.0
+
+
+def percent_reference(values) -> str:
+    """The sample-file format as one Python ``%`` pass, the writer's reference."""
+    values = np.asarray(values, dtype=float).ravel()
+    return ("%.12g\n" * values.size) % tuple(values.tolist())
+
+
+def neighbours(x: float, steps: int) -> list[float]:
+    """x and the ``steps`` doubles on each side of it."""
+    out = [x]
+    below = above = x
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+class TestFormatSamples:
+    """``format_samples`` equals the ``%`` reference byte for byte."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1.0)), max_size=40))
+    def test_any_floats(self, values):
+        # st.floats() includes +-0, subnormals, +-inf and nan
+        assert format_samples(np.array(values, dtype=float)) == percent_reference(values)
+
+    @pytest.mark.parametrize("z", [0, 1, 2, 3])
+    def test_ties(self, z):
+        rng = np.random.default_rng(z)
+        k = rng.integers(10**11, 10**12, 5000)
+        nearest = (k + 0.5) / 10.0 ** (12 + z)  # the doubles next to each tie
+        # q / 2^(13+z) times 10^(12+z) is q 5^(12+z) / 2, a tie, for odd q
+        q = np.arange(2 ** (13 + z) // 10 ** (z + 1) + 1, 2 ** (13 + z) // 10**z)
+        q = q[q % 2 == 1]
+        exact = q / 2.0 ** (13 + z)
+        assert (exact * 10.0 ** (12 + z) % 1 == 0.5).all()
+        for values in (nearest, exact):
+            assert format_samples(values) == percent_reference(values)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e-3, 0.01, 0.1, 1.0])
+    def test_decade_edges(self, edge):
+        values = neighbours(edge, 200)
+        assert format_samples(np.array(values)) == percent_reference(values)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_sizes(self, extra):
+        size = lecam.experiments._CHUNK + extra
+        values = np.random.default_rng(size).random(size)
+        specials = [0.0, -0.0, 1.0, 1e-5, 2.0, -0.25, np.nan, np.inf]
+        values[::1000] = np.resize(specials, values[::1000].size)
+        assert format_samples(values) == percent_reference(values)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_tiny_sizes(self, size):
+        values = np.full(size, 0.123456789012345)
+        assert format_samples(values) == percent_reference(values)
+
+    def test_two_dimensional_input(self):
+        values = np.random.default_rng(7).random((300, 3)) ** 3
+        assert format_samples(values) == percent_reference(values)
+        assert format_samples(np.asfortranarray(values)) == percent_reference(values)
 
 
 class TestSerialization:
