@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -43,12 +44,13 @@ EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(chunks: Iterable[str], out: str) -> None:
+    """Write an iterable of strings to stdout or the file ``out``, each as it comes."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _seed(text: str) -> int:
@@ -128,7 +130,7 @@ def cmd_distance(args) -> int:
         "method": report.method,
         "abs_error": sig12(report.abs_error),
     }
-    _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(record, sort_keys=True) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -146,7 +148,7 @@ def cmd_sweep(args) -> int:
                 f"{rec['n']},{rec['m']},{format_float(rec['measured'])},"
                 f"{format_float(rec['bound'])},{format_float(rec['ratio'])}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {
             "rows": sig12(result.to_records()),
@@ -154,7 +156,7 @@ def cmd_sweep(args) -> int:
             "slope_ci": None if result.slope_ci is None else sig12(list(result.slope_ci)),
             "exact_zero": result.exact_zero,
         }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -167,7 +169,7 @@ def cmd_verify(args) -> int:
         negative_control=args.negative_control,
         parallel=args.parallel,
     )
-    _emit("".join(r.to_json() + "\n" for r in reports), args.out)
+    _emit(["".join(r.to_json() + "\n" for r in reports)], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -210,6 +212,7 @@ def cmd_transport(args) -> int:
         if xs.size < 1:
             raise UsageError("transport needs at least one sample point")
         ys = transport_batch(xs, args.m, seed)
+        del xs  # the input is done with before the first line is written
     _emit(format_samples(ys), args.out)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ __all__ = [
     "save_samples",
     "load_samples",
 ]
+
+
+# values per slice of every per-point pass (sampler, transport kernels, writer):
+# working memory stays O(_CHUNK) however many points there are
+_CHUNK = 1 << 16
 
 
 def default_grid_resolution(m: int) -> int:
@@ -114,7 +120,11 @@ def sqrt_cell_means(f: DensityModel, m: int) -> np.ndarray:
 
 
 def sample_iid(f: DensityModel, n: int, seed) -> np.ndarray:
-    """n independent draws from f by rejection under the envelope M * U[0,1]."""
+    """n independent draws from f by rejection under the envelope M * U[0,1].
+
+    Each batch's candidates are tested ``_CHUNK`` at a time; every candidate
+    is checked against the envelope, even past the n-th acceptance.
+    """
     if n < 0:
         raise UsageError(f"n must be >= 0, got {n}")
     # the first batch is the largest; a bound that cannot size it is a domain error
@@ -129,17 +139,21 @@ def sample_iid(f: DensityModel, n: int, seed) -> np.ndarray:
     guard = 0
     while filled < n:
         batch = max(int(1.05 * f.M * (n - filled)) + 16, 64)
-        x, u = rng.random((2, batch))  # the same draws as two uniform(size=batch) calls
-        fx = np.asarray(f.pdf(x), dtype=float)
-        if fx.max() > f.M * (1.0 + 1e-9):
-            raise DomainError(
-                f"{f.name}: density value {fx.max():g} exceeds envelope M={f.M}"
-            )
-        u *= f.M
-        accepted = x[u <= fx]
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
+        x = rng.random(batch)
+        # u slice by slice: the same draws as the second row of rng.random((2, batch))
+        for i in range(0, batch, _CHUNK):
+            xs = x[i : i + _CHUNK]
+            u = rng.random(xs.size)
+            fx = np.asarray(f.pdf(xs), dtype=float)
+            if fx.max() > f.M * (1.0 + 1e-9):
+                raise DomainError(
+                    f"{f.name}: density value {fx.max():g} exceeds envelope M={f.M}"
+                )
+            u *= f.M
+            accepted = xs[u <= fx]
+            take = min(accepted.size, n - filled)
+            out[filled : filled + take] = accepted[:take]
+            filled += take
         guard += 1
         if guard > 10_000:
             raise DomainError("rejection sampling stalled; check the class bound M")
@@ -179,7 +193,6 @@ def increments(traj: Trajectory, m: int) -> np.ndarray:
 
 _FLOAT_FORMAT = "%.12g"  # every float the package prints: 12 significant digits
 
-_CHUNK = 1 << 16  # values per formatting pass; bounds the writer's scratch memory
 _SCALE = np.array([1e12, 1e13, 1e14, 1e15])  # 10^(12+z), exact doubles
 
 
@@ -250,22 +263,22 @@ def _format_chunk(x: np.ndarray) -> str:
     return records.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def format_samples(values) -> str:
-    """The sample-file format: one ``%.12g`` value per line.
+def format_samples(values) -> Iterator[str]:
+    """The sample-file format: one ``%.12g`` value per line, in chunks.
 
-    Byte-identical to ``("%.12g\\n" * n) % tuple(values)`` for every input,
-    built in chunks of ``_CHUNK`` values by ``_format_chunk``.
+    Yields the text of ``_CHUNK`` values at a time, made by ``_format_chunk``
+    only when asked for; joined, the chunks are byte-identical to
+    ``("%.12g\\n" * n) % tuple(values)`` for every input.
     """
     values = np.asarray(values, dtype=float).ravel()
-    return "".join(
-        _format_chunk(values[i : i + _CHUNK]) for i in range(0, values.size, _CHUNK)
-    )
+    for i in range(0, values.size, _CHUNK):
+        yield _format_chunk(values[i : i + _CHUNK])
 
 
 def save_samples(path, values) -> None:
-    """Write ``values`` to ``path`` in the sample-file format."""
+    """Write ``values`` to ``path`` in the sample-file format, chunk by chunk."""
     with open(path, "w") as fh:
-        fh.write(format_samples(values))
+        fh.writelines(format_samples(values))
 
 
 def load_samples(path) -> np.ndarray:

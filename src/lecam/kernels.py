@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .experiments import Trajectory
+from .experiments import _CHUNK, Trajectory
 from .measures import DiscreteLaw, PiecewiseLinearDensity
 from .rng import substream, substream_seq
 
@@ -158,17 +158,25 @@ def bin_counts(sample, m: int) -> np.ndarray:
     """Occupancy counts of the cells J_i = [(i-1)/m, i/m] along the last axis.
 
     Maps shape (..., n) to (..., m); each leading index is one replication.
+    The points are binned ``_CHUNK`` at a time in C order.
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
     xs = np.asarray(sample, dtype=float)
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("sample points must lie in [0, 1]")
-    idx = np.minimum((xs * m).astype(int), m - 1)
-    lead = idx.shape[:-1]
-    # row r counts into bins r*m .. r*m + m - 1 of one flat bincount
-    offsets = m * np.arange(math.prod(lead)).reshape(lead + (1,))
-    counts = np.bincount((idx + offsets).ravel(), minlength=math.prod(lead) * m)
+    lead, n = xs.shape[:-1], xs.shape[-1]
+    rows = math.prod(lead)
+    flat = xs.reshape(-1)
+    counts = np.zeros(rows * m, dtype=np.intp)
+    for i in range(0, flat.size, _CHUNK):
+        chunk = flat[i : i + _CHUNK]
+        idx = np.minimum((chunk * m).astype(np.intp), m - 1)
+        first = i // n * m  # row r counts into bins r*m .. r*m + m - 1
+        if rows > 1:
+            idx += np.arange(i, i + chunk.size) // n * m - first
+        part = np.bincount(idx)  # covers only the rows this slice touches
+        counts[first : first + part.size] += part
     return counts.reshape(lead + (m,))
 
 
@@ -178,7 +186,9 @@ def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
     This is the sufficiency inverse of binning: applied to multinomial
     counts it reproduces n i.i.d. draws of the midpoint-supported law.
     Maps shape (..., m) to (..., n); every row must hold the same total n,
-    and each row is shuffled on its own.
+    and each row is shuffled on its own.  The shuffle permutes cell indices
+    of the smallest unsigned dtype in place (the permutation depends only on
+    the row length), and the midpoints are gathered from it.
     """
     counts = np.asarray(counts)
     if counts.ndim < 1 or counts.size < 1:
@@ -190,9 +200,11 @@ def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
         raise UsageError("every replication's counts must have the same total")
     m = counts.shape[-1]
     midpoints = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
-    pts = np.repeat(np.broadcast_to(midpoints, counts.shape).ravel(), counts.ravel())
-    pts = pts.reshape(counts.shape[:-1] + (int(totals.flat[0]),))
-    return substream(seed, "perm").permuted(pts, axis=-1)
+    cells = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    idx = np.repeat(np.broadcast_to(cells, counts.shape).ravel(), counts.ravel())
+    idx = idx.reshape(counts.shape[:-1] + (int(totals.flat[0]),))
+    substream(seed, "perm").permuted(idx, axis=-1, out=idx)
+    return midpoints[idx]
 
 
 def identity_kernel(space: Space) -> MarkovKernel:
@@ -252,9 +264,15 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
 
     def sample(x, seed):
         x = np.asarray(x, dtype=float)
-        j0 = basis.snap(x)
-        u = substream(seed, "tent").uniform(size=x.shape)
-        return basis.ppf_indexed(j0, u)
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
+        rng = substream(seed, "tent")
+        # slice by slice: the same uniforms as one uniform(size=x.shape) call
+        for i in range(0, flat.size, _CHUNK):
+            chunk = flat[i : i + _CHUNK]
+            j0 = basis.snap(chunk)
+            out[i : i + chunk.size] = basis.ppf_indexed(j0, rng.uniform(size=chunk.size))
+        return out.reshape(x.shape)
 
     def pushforward(law: DiscreteLaw) -> PiecewiseLinearDensity:
         weights = np.zeros(m)
@@ -367,7 +385,10 @@ def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
 
     ``u`` has shape (bridges, points) with entries in [0, 1], nondecreasing
     along each row.  Returns shape (size, bridges, points).  Sampling is
-    sequential in the bridge filtration, so no path refinement error.
+    sequential in the bridge filtration, so no path refinement error: with
+    r_k = (1 - u_k) / (1 - u_{k-1}), B(u_k) = r_k B(u_{k-1}) + sqrt((u_k -
+    u_{k-1}) r_k) Z_k.  The r_k and the steps are computed for all points at
+    once; only the two-operation recurrence runs point by point.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.size and (u.min() < -1e-12 or u.max() > 1.0 + 1e-12):
@@ -375,20 +396,24 @@ def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
     if np.any(np.diff(u, axis=1) < -1e-12):
         raise UsageError("bridge times must be nondecreasing along rows")
     bridges, points = u.shape
-    out = np.zeros((size, bridges, points))
-    prev_u = np.zeros(bridges)
-    prev_b = np.zeros((size, bridges))
-    for k in range(points):
-        uk = np.clip(u[:, k], 0.0, 1.0)
-        rem = 1.0 - prev_u
-        alive = rem > 1e-15
-        ratio = np.where(alive, (1.0 - uk) / np.where(alive, rem, 1.0), 0.0)
-        var = np.where(alive, (uk - prev_u) * ratio, 0.0)
-        mean = prev_b * ratio
-        draw = rng.standard_normal((size, bridges))
-        b = mean + np.sqrt(np.clip(var, 0.0, None)) * draw
-        out[:, :, k] = b
-        prev_u, prev_b = uk, b
+    uk = np.clip(u, 0.0, 1.0).T  # (points, bridges)
+    prev_u = np.concatenate([np.zeros((1, bridges)), uk[:-1]])
+    rem = 1.0 - prev_u
+    alive = rem > 1e-15
+    ratio = np.where(alive, (1.0 - uk) / np.where(alive, rem, 1.0), 0.0)
+    sd = np.sqrt(np.clip(np.where(alive, (uk - prev_u) * ratio, 0.0), 0.0, None))
+    out = np.empty((size, bridges, points))
+    b = np.zeros((size, bridges))
+    # normals for about _CHUNK values at a time, in the order of one (size,
+    # bridges) draw per point: working memory stays O(_CHUNK + size * bridges)
+    block = max(1, _CHUNK // max(1, size * bridges))
+    for k0 in range(0, points, block):
+        step = rng.standard_normal((min(block, points - k0), size, bridges))
+        step *= sd[k0 : k0 + block, None, :]
+        for k, s in enumerate(step, k0):
+            b *= ratio[k]
+            b += s
+            out[:, :, k] = b
     return out
 
 

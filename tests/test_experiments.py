@@ -194,6 +194,11 @@ def neighbours(x: float, steps: int) -> list[float]:
     return out
 
 
+def formatted(values) -> str:
+    """``format_samples``' chunks joined into one string."""
+    return "".join(format_samples(values))
+
+
 class TestFormatSamples:
     """``format_samples`` equals the ``%`` reference byte for byte."""
 
@@ -201,7 +206,7 @@ class TestFormatSamples:
     @given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1.0)), max_size=40))
     def test_any_floats(self, values):
         # st.floats() includes +-0, subnormals, +-inf and nan
-        assert format_samples(np.array(values, dtype=float)) == percent_reference(values)
+        assert formatted(np.array(values, dtype=float)) == percent_reference(values)
 
     @pytest.mark.parametrize("z", [0, 1, 2, 3])
     def test_ties(self, z):
@@ -214,12 +219,12 @@ class TestFormatSamples:
         exact = q / 2.0 ** (13 + z)
         assert (exact * 10.0 ** (12 + z) % 1 == 0.5).all()
         for values in (nearest, exact):
-            assert format_samples(values) == percent_reference(values)
+            assert formatted(values) == percent_reference(values)
 
     @pytest.mark.parametrize("edge", [1e-4, 1e-3, 0.01, 0.1, 1.0])
     def test_decade_edges(self, edge):
         values = neighbours(edge, 200)
-        assert format_samples(np.array(values)) == percent_reference(values)
+        assert formatted(np.array(values)) == percent_reference(values)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_chunk_sizes(self, extra):
@@ -227,17 +232,17 @@ class TestFormatSamples:
         values = np.random.default_rng(size).random(size)
         specials = [0.0, -0.0, 1.0, 1e-5, 2.0, -0.25, np.nan, np.inf]
         values[::1000] = np.resize(specials, values[::1000].size)
-        assert format_samples(values) == percent_reference(values)
+        assert formatted(values) == percent_reference(values)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_tiny_sizes(self, size):
         values = np.full(size, 0.123456789012345)
-        assert format_samples(values) == percent_reference(values)
+        assert formatted(values) == percent_reference(values)
 
     def test_two_dimensional_input(self):
         values = np.random.default_rng(7).random((300, 3)) ** 3
-        assert format_samples(values) == percent_reference(values)
-        assert format_samples(np.asfortranarray(values)) == percent_reference(values)
+        assert formatted(values) == percent_reference(values)
+        assert formatted(np.asfortranarray(values)) == percent_reference(values)
 
 
 class TestSerialization:
@@ -250,8 +255,8 @@ class TestSerialization:
 
     def test_samples_format_matches_per_value_fstring(self):
         values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e300, 123456789012345.0, np.nan, -np.inf]
-        assert format_samples(np.array(values)) == "".join(f"{v:.12g}\n" for v in values)
-        assert format_samples(np.array([])) == ""
+        assert formatted(np.array(values)) == "".join(f"{v:.12g}\n" for v in values)
+        assert formatted(np.array([])) == ""
 
     def test_samples_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
