@@ -36,9 +36,11 @@ REMAINDER_GRID = 1024  # evaluation points per cell for remainder suprema
 
 
 def reconstruct(f: DensityModel, m: int) -> PiecewiseLinearDensity:
-    """f_hat_m: the tent kernel's pushforward of the midpoint law with masses theta."""
-    theta = theta_of(f, m).theta
-    midpoint_law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, theta)))
+    """f_hat_m: the tent kernel's pushforward of the midpoint law with masses theta.
+
+    The midpoint law puts mass theta_j on cell index j - 1, its label for x_j*.
+    """
+    midpoint_law = DiscreteLaw(tuple(enumerate(theta_of(f, m).theta)))
     return reconstruction_kernel(m).pushforward_density(midpoint_law)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "total_bound",
     "total_bound_curve",
     "minimize_total",
-    "target_rate",
 ]
 
 
@@ -201,15 +200,3 @@ def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:
     k = int(np.argmin(totals))
     return int(m_window[k]), float(totals[k])
 
-
-def target_rate(n: int, gamma: float) -> float:
-    """The advertised end-to-end rate at the tuning rule's m.
-
-    n^{-gamma/(2(gamma+2))} log n for gamma <= 1/2 and n^{-1/10} log n
-    above; ratio checks divide measured totals by this.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    if gamma <= 0.5:
-        return n ** (-gamma / (2.0 * (gamma + 2.0))) * math.log(n)
-    return n ** (-0.1) * math.log(n)

@@ -23,7 +23,6 @@ from .rng import substream
 __all__ = [
     "ThetaVector",
     "Trajectory",
-    "default_grid_resolution",
     "theta_of",
     "sqrt_cell_means",
     "sample_iid",
@@ -39,11 +38,6 @@ __all__ = [
 # values per slice of every per-point pass (sampler, transport kernels, writer):
 # working memory stays O(_CHUNK) however many points there are
 _CHUNK = 1 << 16
-
-
-def default_grid_resolution(m: int) -> int:
-    """64 grid cells per bin keeps drift quadrature error far below the noise."""
-    return 64 * m
 
 
 @dataclass(frozen=True)

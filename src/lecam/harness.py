@@ -204,13 +204,15 @@ def verify_transport(
     """KS test of the kernel-chain output against the exact f_hat_m CDF.
 
     ``skip_reconstruction=True`` stops the chain at the midpoint sample,
-    the negative control: for any density its atoms cannot match the
-    continuous reconstruction law.
+    mapped from cell indices to the midpoints themselves, the negative
+    control: for any density its atoms cannot match the continuous
+    reconstruction law.
     """
     fhat = reconstruct(f, m)
     xs = sample_iid(f, n, substream_seq(seed, "draw"))
     if skip_reconstruction:
-        ys = counts_to_midpoint_sample(bin_counts(xs, m), substream_seq(seed, "mid"))
+        cells = counts_to_midpoint_sample(bin_counts(xs, m), substream_seq(seed, "mid"))
+        ys = tent_basis(m).midpoints[cells]
     else:
         ys = transport_chain(n, m).sample(xs, substream_seq(seed, "chain"))
     res = stats.kstest(ys, fhat.cdf)
@@ -337,19 +339,20 @@ def verify_risk_transfer(
     """Risk gap across the chain versus the Hellinger-derived TV budget.
 
     The original rule runs on i.i.d. f samples; the transferred rule runs
-    on multinomial counts pushed through the midpoint + tent
-    randomization.  Their risks must agree up to the TV bound between f^n
-    and f_hat^n plus 4 combined SEs, uniformly over rules; the default
-    rule is the empirical cell-1 frequency.  The TV budget is tv_sandwich
+    on multinomial counts whose cell indices go through the chain's own
+    tent stage, ``transport_chain(n, m).stages[-1]``.  Their risks must
+    agree up to the TV bound between f^n and f_hat^n plus 4 combined SEs,
+    uniformly over rules; the default rule is the empirical cell-1
+    frequency.  The TV budget is tv_sandwich
     applied to the exact product-rule H^2, which is the computable
     surrogate (<= sqrt(n) H(f, f_hat_m)) for the true TV.
 
     ``rule`` maps an (R, n) array of samples to R actions and must be
-    symmetric in each row: the transferred route returns each row in cell
-    order, not in the uniformly random order of the kernel chain, so a
-    rule that reads the order would get a wrong risk.  The first block
-    compares the rule on its rows and on the reversed rows and raises
-    ``UsageError`` if they differ.
+    symmetric in each row: the transferred route skips the midpoint
+    shuffle and returns each row in cell order, not in the uniformly random
+    order of the kernel chain, so a rule that reads the order would get a
+    wrong risk.  The first block compares the rule on its rows and on the
+    reversed rows and raises ``UsageError`` if they differ.
 
     Replications run in blocks of ``RISK_BLOCK``, each on its own named
     substreams, so memory stays flat as ``replications`` grows.  ``map``
@@ -361,7 +364,7 @@ def verify_risk_transfer(
         raise UsageError("need at least 2 replications for a standard error")
     theta = theta_of(f, m).theta
     theta_true = problem.target(f)
-    basis = tent_basis(m)
+    tent = transport_chain(n, m).stages[-1]
     cell_edge = 1.0 / m
 
     if rule is None:
@@ -382,9 +385,8 @@ def verify_risk_transfer(
         target = checked_moments(problem.loss(theta_true, rule(xs.reshape(size, n))))
 
         counts = substream(seed, "source", "block", b).multinomial(n, theta, size=size)
-        mid_idx = np.repeat(np.tile(np.arange(m), size), counts.ravel()).reshape(size, n)
-        us = substream(seed, "tent", "block", b).uniform(size=(size, n))
-        ys = basis.ppf_indexed(mid_idx, us)
+        cells = np.repeat(np.tile(np.arange(m), size), counts.ravel()).reshape(size, n)
+        ys = tent.sample(cells, substream_seq(seed, "tent", "block", b))
         actions = rule(ys)
         if b == 0 and not np.allclose(actions, rule(ys[:, ::-1])):
             raise UsageError("rule reads the order of its samples; it must be symmetric")

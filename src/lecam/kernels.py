@@ -27,7 +27,6 @@ __all__ = [
     "bin_counts",
     "counts_to_midpoint_sample",
     "tent_basis",
-    "identity_kernel",
     "binning_kernel",
     "midpoint_kernel",
     "reconstruction_kernel",
@@ -40,10 +39,10 @@ __all__ = [
     "synthesize_ystar",
 ]
 
-# A sample space is (base descriptor, number of i.i.d. coordinates).
+# A sample space is (base descriptor, number of i.i.d. coordinates).  The
+# coordinates of "midpoint[m]" are cell indices 0..m-1: index j stands for the
+# midpoint x_{j+1}*, and the label carries the whole midpoint law.
 Space = tuple[str, int]
-
-MIDPOINT_TOL = 1e-9
 
 
 def unit_interval_space(n: int) -> Space:
@@ -99,10 +98,11 @@ class TentBasis:
         For u <= 1/2 the draw rises from the left neighbour's midpoint by
         sqrt(2u)/m, above it falls back from the right neighbour's by
         sqrt(2(1-u))/m; the flat outer halves of V_1 and V_m are linear in u.
+        ``j_idx`` must hold integers: a float index raises ``DomainError``.
         """
-        j0, u = np.broadcast_arrays(
-            np.asarray(j_idx, dtype=int), np.asarray(u, dtype=float)
-        )
+        j0, u = np.broadcast_arrays(np.asarray(j_idx), np.asarray(u, dtype=float))
+        if not np.issubdtype(j0.dtype, np.integer):
+            raise DomainError(f"tent indices must be integers, got {j0.dtype}")
         if j0.size and (j0.min() < 0 or j0.max() >= self.m):
             raise UsageError("tent index out of range")
         m, xs = float(self.m), self.midpoints
@@ -119,14 +119,6 @@ class TentBasis:
         last = (j0 == self.m - 1) & upper
         out[last] = xs[-1] + (u[last] - 0.5) / m
         return out
-
-    def snap(self, x) -> np.ndarray:
-        """0-based midpoint indices for points that are midpoints."""
-        x = np.asarray(x, dtype=float)
-        j0 = np.clip(np.rint(x * self.m - 0.5).astype(int), 0, self.m - 1)
-        if np.any(np.abs(x - (2.0 * (j0 + 1) - 1.0) / (2.0 * self.m)) > MIDPOINT_TOL):
-            raise DomainError("input point is not a cell midpoint")
-        return j0
 
 
 def tent_basis(m: int) -> TentBasis:
@@ -181,14 +173,14 @@ def bin_counts(sample, m: int) -> np.ndarray:
 
 
 def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
-    """Uniformly ordered multiset with counts[..., i] copies of each midpoint.
+    """Uniformly ordered multiset with counts[..., i] copies of cell index i.
 
     This is the sufficiency inverse of binning: applied to multinomial
-    counts it reproduces n i.i.d. draws of the midpoint-supported law.
-    Maps shape (..., m) to (..., n); every row must hold the same total n,
-    and each row is shuffled on its own.  The shuffle permutes cell indices
-    of the smallest unsigned dtype in place (the permutation depends only on
-    the row length), and the midpoints are gathered from it.
+    counts it reproduces n i.i.d. draws of the midpoint-supported law, each
+    midpoint x_{i+1}* given by its cell index i.  Maps shape (..., m) to
+    (..., n); every row must hold the same total n, and each row is shuffled
+    on its own.  The indices have the smallest unsigned dtype and are
+    permuted in place; the permutation depends only on the row length.
     """
     counts = np.asarray(counts)
     if counts.ndim < 1 or counts.size < 1:
@@ -199,22 +191,11 @@ def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
     if np.any(totals != totals.flat[0]):
         raise UsageError("every replication's counts must have the same total")
     m = counts.shape[-1]
-    midpoints = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
     cells = np.arange(m, dtype=np.min_scalar_type(m - 1))
     idx = np.repeat(np.broadcast_to(cells, counts.shape).ravel(), counts.ravel())
     idx = idx.reshape(counts.shape[:-1] + (int(totals.flat[0]),))
     substream(seed, "perm").permuted(idx, axis=-1, out=idx)
-    return midpoints[idx]
-
-
-def identity_kernel(space: Space) -> MarkovKernel:
-    return MarkovKernel(
-        source=space,
-        target=space,
-        sample=lambda x, seed: x,
-        pushforward_density=lambda law: law,
-        label="identity",
-    )
+    return idx
 
 
 def binning_kernel(n: int, m: int) -> MarkovKernel:
@@ -235,7 +216,7 @@ def binning_kernel(n: int, m: int) -> MarkovKernel:
 
 
 def midpoint_kernel(n: int, m: int) -> MarkovKernel:
-    """Sufficiency inverse: counts -> uniformly ordered midpoint sample."""
+    """Sufficiency inverse: counts -> uniformly ordered cell indices."""
 
     def sample(counts, seed):
         counts = np.asarray(counts)
@@ -254,30 +235,32 @@ def midpoint_kernel(n: int, m: int) -> MarkovKernel:
 
 
 def reconstruction_kernel(m: int) -> MarkovKernel:
-    """Kernel sending the midpoint x_j* to a draw from the density V_j.
+    """Kernel sending cell index j (the midpoint x_{j+1}*) to a draw from V_{j+1}.
 
-    Its pushforward maps the midpoint law with masses theta to the law
-    f_hat = sum_j theta_j V_j, a ``PiecewiseLinearDensity`` with ``pdf`` and
-    ``cdf``; ``approx.reconstruct`` and every check of f_hat use it.
+    Its input is an integer array of cell indices in [0, m); floats raise
+    ``DomainError``.  Its pushforward maps the law with mass theta_j on
+    index j - 1 to f_hat = sum_j theta_j V_j, a ``PiecewiseLinearDensity``
+    with ``pdf`` and ``cdf``; ``approx.reconstruct`` and every check of f_hat
+    use it.
     """
     basis = tent_basis(m)
 
-    def sample(x, seed):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
+    def sample(cells, seed):
+        cells = np.asarray(cells)
+        flat = cells.reshape(-1)
         out = np.empty(flat.size)
         rng = substream(seed, "tent")
-        # slice by slice: the same uniforms as one uniform(size=x.shape) call
+        # slice by slice: the same uniforms as one uniform(size=cells.shape) call
         for i in range(0, flat.size, _CHUNK):
             chunk = flat[i : i + _CHUNK]
-            j0 = basis.snap(chunk)
-            out[i : i + chunk.size] = basis.ppf_indexed(j0, rng.uniform(size=chunk.size))
-        return out.reshape(x.shape)
+            out[i : i + chunk.size] = basis.ppf_indexed(chunk, rng.uniform(size=chunk.size))
+        return out.reshape(cells.shape)
 
     def pushforward(law: DiscreteLaw) -> PiecewiseLinearDensity:
-        weights = np.zeros(m)
-        np.add.at(weights, basis.snap(law.points), law.masses)
-        return basis.mixture(weights)
+        cells = law.points
+        if np.any(cells != np.floor(cells)) or cells.min() < 0 or cells.max() >= m:
+            raise DomainError(f"atoms must be cell indices in [0, {m})")
+        return basis.mixture(np.bincount(cells.astype(int), law.masses, minlength=m))
 
     return MarkovKernel(
         source=midpoint_space(1, m),
@@ -364,9 +347,9 @@ def compose(k1: MarkovKernel, k2: MarkovKernel) -> MarkovKernel:
 def transport_chain(n: int, m: int) -> MarkovKernel:
     """The full randomization i.i.d. f -> counts -> midpoints -> i.i.d. f_hat.
 
-    Stage 0 bins, stage 1 draws the uniformly ordered midpoint sample and
-    stage 2 replaces each midpoint by a tent draw; the output's order is
-    the midpoint shuffle's, not the input's.
+    Stage 0 bins, stage 1 draws the uniformly ordered midpoint sample as
+    cell indices and stage 2 replaces each index by a tent draw; the
+    output's order is the midpoint shuffle's, not the input's.
     """
     return compose(
         binning_kernel(n, m),

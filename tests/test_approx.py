@@ -66,7 +66,7 @@ class TestReconstruct:
     def test_is_the_tent_kernels_pushforward(self):
         m = 8
         theta = theta_of(COSINE, m).theta
-        law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, theta)))
+        law = DiscreteLaw(tuple(enumerate(theta)))
         pushed = reconstruction_kernel(m).pushforward_density(law)
         fhat = reconstruct(COSINE, m)
         assert isinstance(fhat, PiecewiseLinearDensity)

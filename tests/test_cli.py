@@ -290,6 +290,22 @@ class TestVerify:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    # SHA-256 of stdout for the benchmark's verify runs, recorded when risk
+    # transfer began to draw through the chain's tent stage
+    PINNED = {
+        "--seed 42": "caf980222cade47c9756c2367fd6f47d6c9ea535e487f38a35e2294a9f2c2181",
+        "--seed 7 --negative-control": (
+            "ae350da7835b162b220f81c72b69033125d55d1ecdd4f5c555bb24b77d3d393d"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, args, capsys):
+        argv = ["verify", *args.split(), "--reps", "10000", "--parallel", "2"]
+        code, out, _ = run(argv, capsys)
+        assert code == (1 if "--negative-control" in args else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+
     @pytest.mark.parametrize(
         "argv",
         [

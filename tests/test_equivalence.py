@@ -15,13 +15,23 @@ from lecam.equivalence import (
     bound_gaussian_link,
     choose_m,
     minimize_total,
-    target_rate,
     total_bound,
     total_bound_curve,
 )
 from lecam.errors import DomainError
 
 COSINE = cosine([0.3])
+
+
+def target_rate(n: int, gamma: float) -> float:
+    """The advertised end-to-end rate at the tuning rule's m.
+
+    n^{-gamma/(2(gamma+2))} log n for gamma <= 1/2 and n^{-1/10} log n
+    above; ratio checks divide measured totals by this.
+    """
+    if gamma <= 0.5:
+        return n ** (-gamma / (2.0 * (gamma + 2.0))) * math.log(n)
+    return n ** (-0.1) * math.log(n)
 
 
 class TestReconstructionRate:

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 import lecam.approx
+import lecam.harness
 
 from lecam.densities import cosine, uniform
 from lecam.equivalence import RateParams, bound_density_reconstruction
@@ -29,7 +30,7 @@ from lecam.harness import (
     verify_transport,
     verify_ystar_moments,
 )
-from lecam.kernels import bin_counts, binning_kernel, identity_kernel, unit_interval_space
+from lecam.kernels import MarkovKernel, bin_counts, binning_kernel, unit_interval_space
 from lecam.measures import PiecewiseLinearDensity
 
 COSINE = cosine([0.3])
@@ -125,7 +126,8 @@ class TestYstarMoments:
 
 class TestTransferRule:
     def test_identity_kernel_keeps_rule(self):
-        ident = identity_kernel(unit_interval_space(4))
+        space = unit_interval_space(4)
+        ident = MarkovKernel(source=space, target=space, sample=lambda x, seed: x)
         rule = lambda xs: float(np.mean(xs))
         moved = transfer_rule(rule, ident)
         xs = np.array([0.1, 0.2, 0.3, 0.4])
@@ -173,6 +175,37 @@ class TestRiskTransfer:
         )
         assert report.passed
         assert report.statistic == pytest.approx(0.0, abs=1e-12)
+
+    def test_source_draws_run_through_the_chains_tent_stage(self, monkeypatch):
+        # the transferred rule sees exactly what the shipped chain's tent stage draws
+        built, drawn, seen = [], [], []
+        real_chain = lecam.harness.transport_chain
+
+        def spy_chain(n, m):
+            chain = real_chain(n, m)
+            built.append((n, m))
+            tent = chain.stages[-1]
+
+            def sample(cells, seed):
+                drawn.append(tent.sample(cells, seed))
+                return drawn[-1]
+
+            stages = chain.stages[:-1] + (dataclasses.replace(tent, sample=sample),)
+            return dataclasses.replace(chain, stages=stages)
+
+        def rule(rows):
+            seen.append(rows)
+            return (rows <= 1 / 8).mean(axis=1)
+
+        monkeypatch.setattr(lecam.harness, "transport_chain", spy_chain)
+        verify_risk_transfer(
+            theta1_problem(8), COSINE, n=200, m=8,
+            replications=2 * RISK_BLOCK, seed=4, rule=rule,
+        )
+        assert built == [(200, 8)] and len(drawn) == 2
+        # per block: target rows, source rows, and in block 0 the reversed source rows
+        assert seen[1] is drawn[0] and seen[4] is drawn[1]
+        assert len(seen) == 5
 
     def test_order_reading_rule_is_rejected(self):
         # the transferred route returns rows in cell order, so this rule would

@@ -16,7 +16,6 @@ from lecam.kernels import (
     brownian_bridge_paths,
     compose,
     counts_to_midpoint_sample,
-    identity_kernel,
     midpoint_kernel,
     product_kernel,
     reconstruction_kernel,
@@ -30,6 +29,17 @@ from lecam.measures import DiscreteLaw
 from lecam.rng import substream_seq
 
 COSINE = cosine([0.3])
+
+
+def identity_kernel(space):
+    """The kernel that returns its input: a test double for products and composites."""
+    return MarkovKernel(
+        source=space,
+        target=space,
+        sample=lambda x, seed: x,
+        pushforward_density=lambda law: law,
+        label="identity",
+    )
 
 
 class TestTentBasis:
@@ -129,10 +139,17 @@ class TestTentBasis:
         with pytest.raises(UsageError):
             tent_basis(1)
 
-    def test_snap_rejects_non_midpoints(self):
+    def test_ppf_rejects_float_indices(self):
+        # a float index is not truncated to a cell, even when it is integral
         b = tent_basis(4)
-        with pytest.raises(DomainError):
-            b.snap(np.array([0.2]))
+        for bad in (np.array([0.9, 2.5]), np.array([0.0, 2.0]), 1.0):
+            with pytest.raises(DomainError):
+                b.ppf_indexed(bad, [0.5, 0.5])
+        for bad in (np.array([4]), np.array([-1])):
+            with pytest.raises(UsageError):
+                b.ppf_indexed(bad, [0.5])
+        j = np.array([0, 3], dtype=np.uint8)
+        assert b.ppf_indexed(j, [0.5, 0.5]).tolist() == b.midpoints[[0, 3]].tolist()
 
 
 class TestBinCounts:
@@ -175,19 +192,18 @@ class TestBinCounts:
 class TestMidpointSample:
     def test_degenerate_counts(self):
         out = counts_to_midpoint_sample(np.array([3, 0]), 1)
-        assert out == pytest.approx([0.25, 0.25, 0.25])
+        assert out.dtype == np.uint8 and out.tolist() == [0, 0, 0]
 
     def test_first_coordinate_marginal(self):
         # first coordinate of the permuted multiset is an X* draw
         m, n, reps = 4, 12, 3000
         theta = theta_of(COSINE, m).theta
         rng_counts = np.random.default_rng(8)
-        firsts = np.empty(reps)
+        firsts = np.empty(reps, dtype=int)
         for r in range(reps):
             counts = rng_counts.multinomial(n, theta)
             firsts[r] = counts_to_midpoint_sample(counts, substream_seq(17, r))[0]
-        midpoints = tent_basis(m).midpoints
-        observed = np.array([(firsts == x).sum() for x in midpoints])
+        observed = np.bincount(firsts, minlength=m)
         stat = ((observed - reps * theta) ** 2 / (reps * theta)).sum()
         assert stats.chi2.sf(stat, m - 1) >= 1e-3
 
@@ -199,16 +215,15 @@ class TestMidpointSample:
                 for i in range(N)
             ]
         )
-        frac = (firsts < 0.5).mean()
+        frac = (firsts == 0).mean()
         assert abs(frac - 0.5) <= 3.0 * np.sqrt(0.25 / N)
 
     def test_batched_rows_hold_their_counts(self):
         counts = np.array([[3, 0, 1], [0, 2, 2]])
         out = counts_to_midpoint_sample(counts, 4)
-        mids = tent_basis(3).midpoints
         assert out.shape == (2, 4)
         for row, c in zip(out, counts):
-            assert np.array_equal(np.sort(row), np.repeat(mids, c))
+            assert np.array_equal(np.sort(row), np.repeat(np.arange(3), c))
         with pytest.raises(UsageError):
             counts_to_midpoint_sample(np.array([[1, 1], [1, 2]]), 0)
 
@@ -223,7 +238,7 @@ class TestReconstructionKernel:
     def test_uniform_pushforward_is_flat(self):
         m = 4
         k = reconstruction_kernel(m)
-        law = DiscreteLaw(tuple(zip(tent_basis(m).midpoints, [0.25] * m)))
+        law = DiscreteLaw(tuple(enumerate([0.25] * m)))
         fhat = k.pushforward_density(law)
         x = np.linspace(0.0, 1.0, 501)
         assert fhat.pdf(x) == pytest.approx(np.ones_like(x), abs=1e-12)
@@ -233,7 +248,7 @@ class TestReconstructionKernel:
         m = 4
         b = tent_basis(m)
         k = reconstruction_kernel(m)
-        law = DiscreteLaw(((b.midpoints[0], 1.0),))
+        law = DiscreteLaw(((0, 1.0),))
         fhat = k.pushforward_density(law)
         x = np.linspace(0.0, 1.0, 501)
         tent_1 = np.interp(x, [0.0, b.midpoints[0], b.midpoints[1]], [m, m, 0.0])
@@ -244,15 +259,22 @@ class TestReconstructionKernel:
         b = tent_basis(m)
         k = reconstruction_kernel(m)
         for j in (1, 3):
-            x = np.full(10_000, b.midpoints[j - 1])
-            draws = k.sample(x, substream_seq(3, j))
+            draws = k.sample(np.full(10_000, j - 1), substream_seq(3, j))
             res = stats.kstest(draws, lambda t: b.cdf_matrix(t)[j - 1])
             assert res.pvalue >= 1e-3
 
     def test_rejects_non_midpoint(self):
+        # inputs are cell indices: floats are refused, midpoint values included
+        k = reconstruction_kernel(4)
+        for bad in (np.array([0.3]), np.array([0.125])):
+            with pytest.raises(DomainError):
+                k.sample(bad, 0)
+
+    @pytest.mark.parametrize("atom", [0.125, 0.5, 4, -1, np.nan])
+    def test_pushforward_rejects_non_index_atoms(self, atom):
         k = reconstruction_kernel(4)
         with pytest.raises(DomainError):
-            k.sample(np.array([0.3]), 0)
+            k.pushforward_density(DiscreteLaw(((0, 0.5), (atom, 0.5))))
 
     def test_parameter_free(self):
         # structural check: no DensityModel hides in the kernel's closure
@@ -311,15 +333,14 @@ class TestProductAndCompose:
         k = reconstruction_kernel(4)
         prod = product_kernel(k, 2)
         with pytest.raises(UsageError):
-            prod.sample(np.full(3, 0.125), 0)
+            prod.sample(np.zeros(3, dtype=int), 0)
 
     def test_iid_product_law(self):
         # n tent kernels applied to i.i.d. X* draws give i.i.d. f_hat draws
         m, n = 4, 10_000
         theta = theta_of(COSINE, m).theta
-        mids = tent_basis(m).midpoints
         rng = np.random.default_rng(12)
-        xs = rng.choice(mids, size=n, p=theta)
+        xs = rng.choice(m, size=n, p=theta)
         k = reconstruction_kernel(m)
         ys = product_kernel(k, n).sample(xs, 77)
         from lecam.approx import reconstruct
@@ -333,8 +354,8 @@ class TestProductAndCompose:
         prod = product_kernel(k, 2)
         mids = tent_basis(m).midpoints
         laws = [
-            DiscreteLaw(((mids[0], 1.0),)),
-            DiscreteLaw(tuple(zip(mids, [0.25] * m))),
+            DiscreteLaw(((0, 1.0),)),
+            DiscreteLaw(tuple(enumerate([0.25] * m))),
         ]
         fhats = prod.pushforward_density(laws)
         x = np.linspace(0.0, 1.0, 101)
@@ -444,10 +465,10 @@ class TestSynthesizeYstar:
     def test_full_trajectory_chain_variance(self):
         # honest chain: white-noise trajectory -> increments -> reassembled y*,
         # checking Var[y*_t] = t / (4n) at t in {1/2, 1}
-        from lecam.experiments import default_grid_resolution, increments, sample_white_noise
+        from lecam.experiments import increments, sample_white_noise
 
         n, m, reps = 25, 4, 400
-        res = default_grid_resolution(m)
+        res = 64 * m  # 64 grid cells per bin keep the drift quadrature error far below the noise
         half, full = np.empty(reps), np.empty(reps)
         for r in range(reps):
             traj = sample_white_noise(COSINE, n, res, substream_seq(400, r, "wn"))

@@ -58,12 +58,11 @@ def bin_counts_reference(xs, m):
 
 
 def midpoint_sample_reference(counts, seed):
-    """The repeated midpoints, shuffled as floats along the last axis."""
+    """The repeated int64 cell indices, shuffled into a new array along the last axis."""
     m = counts.shape[-1]
-    midpoints = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
-    pts = np.repeat(np.broadcast_to(midpoints, counts.shape).ravel(), counts.ravel())
-    pts = pts.reshape(counts.shape[:-1] + (int(counts.sum(axis=-1).flat[0]),))
-    return substream(seed, "perm").permuted(pts, axis=-1)
+    idx = np.repeat(np.broadcast_to(np.arange(m), counts.shape).ravel(), counts.ravel())
+    idx = idx.reshape(counts.shape[:-1] + (int(counts.sum(axis=-1).flat[0]),))
+    return substream(seed, "perm").permuted(idx, axis=-1)
 
 
 def chain_reference(x, n, m, seed, start=0):
@@ -74,9 +73,8 @@ def chain_reference(x, n, m, seed, start=0):
     tent_seed = substream_seq(seed, "stage", 2)
     if n > 1:  # the i.i.d. power draws from its own "coords" stream
         tent_seed = substream_seq(tent_seed, "coords")
-    basis = tent_basis(m)
     u = substream(tent_seed, "tent").uniform(size=x.shape)
-    return basis.ppf_indexed(basis.snap(x), u)
+    return tent_basis(m).ppf_indexed(x, u)
 
 
 def bridge_reference(u, rng, size):
@@ -146,16 +144,17 @@ class TestKernels:
     @pytest.mark.parametrize("m", [16, 300])
     def test_midpoint_sample(self, shape, m):
         counts = bin_counts(unit_points(shape, m), m)
-        assert np.array_equal(
-            counts_to_midpoint_sample(counts, 4), midpoint_sample_reference(counts, 4)
-        )
+        got = counts_to_midpoint_sample(counts, 4)
+        assert got.dtype == (np.uint8 if m <= 256 else np.uint16)
+        assert np.array_equal(got, midpoint_sample_reference(counts, 4))
 
     def test_midpoint_sample_over_256_cells_uses_16_bit_indices(self):
         counts = np.zeros(300, dtype=int)
         counts[[0, 255, 256, 299]] = [2, 3, 5, 7]
         got = counts_to_midpoint_sample(counts, 8)
+        assert got.dtype == np.uint16
         assert np.array_equal(got, midpoint_sample_reference(counts, 8))
-        assert set(np.rint(got * 600 - 1).astype(int) // 2) == {0, 255, 256, 299}
+        assert set(got.tolist()) == {0, 255, 256, 299}
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("m", [16, 300])
@@ -212,7 +211,11 @@ def traced_peak(fn) -> tuple[object, int]:
 
 
 class TestMemory:
-    """At n = 2^19 each step's traced peak stays within four n-point arrays."""
+    """At n = 2^19 each step's traced peak stays within four n-point arrays.
+
+    The chain from counts is held to less: its float64 output, the 1-byte
+    cell indices of the midpoint stage and one slice of work.
+    """
 
     N = 1 << 19
     BOUND = 4 * 8 * N
@@ -226,6 +229,12 @@ class TestMemory:
         chain = transport_chain(self.N, 16)
         ys, peak = traced_peak(lambda: chain.sample(counts, 3, start=1))
         assert ys.size == self.N and peak <= self.BOUND
+
+    def test_chain_from_counts_holds_no_float_midpoints(self):
+        counts = bin_counts(sample_iid(COSINE, self.N, 2), 16)
+        chain = transport_chain(self.N, 16)
+        ys, peak = traced_peak(lambda: chain.sample(counts, 3, start=1))
+        assert ys.size == self.N and peak <= 9 * self.N + 64 * _CHUNK, peak
 
     def test_transport_command(self, tmp_path):
         out = tmp_path / "out.txt"
