@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,48 @@ __all__ = [
 # values per slice of every per-point pass (sampler, transport kernels, writer):
 # working memory stays O(_CHUNK) however many points there are
 _CHUNK = 1 << 16
+
+_local = threading.local()  # per thread: the reused ``gen``
+
+# at most two workers, the only size measured (2 vCPUs), so the slices in flight
+# do not grow with the machine; its threads start on the first fan-out
+_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_pool = ThreadPoolExecutor(min(2, _cpus or 1), "lecam-slice")
+
+
+def map_slices(fn: Callable, starts: Sequence[int]) -> Iterator:
+    """``fn(start)`` for each slice start, yielded in slice order.
+
+    Runs on ``_pool``, at most one slice more than it has workers submitted
+    and not yet yielded.  It runs inline where a pool gains nothing or could
+    wait on itself: for two slices or fewer, on a one-worker pool, and off the
+    main thread (a pool worker's call).  An exception comes out at its
+    slice's turn, and a stopped iterator waits for its running slices.
+    """
+    off_main = threading.current_thread() is not threading.main_thread()
+    if len(starts) <= 2 or _pool._max_workers < 2 or off_main:
+        yield from map(fn, starts)
+        return
+    ahead = _pool._max_workers + 1
+    futures = {k: _pool.submit(fn, starts[k]) for k in range(min(ahead, len(starts)))}
+    try:
+        for k in range(len(starts)):
+            result = futures.pop(k).result()
+            if k + ahead < len(starts):
+                futures[k + ahead] = _pool.submit(fn, starts[k + ahead])
+            yield result
+    finally:
+        wait([fut for fut in futures.values() if not fut.cancel()])
+
+
+def stream_at(state: dict, offset: int) -> np.random.Generator:
+    """This thread's reused generator, placed ``offset`` doubles into the stream
+    whose ``bit_generator.state`` before its first draw is ``state``."""
+    if not hasattr(_local, "gen"):
+        _local.gen = np.random.Generator(np.random.PCG64(0))
+    _local.gen.bit_generator.state = state
+    _local.gen.bit_generator.advance(offset)
+    return _local.gen
 
 
 @dataclass(frozen=True)
@@ -116,8 +161,8 @@ def sqrt_cell_means(f: DensityModel, m: int) -> np.ndarray:
 def sample_iid(f: DensityModel, n: int, seed) -> np.ndarray:
     """n independent draws from f by rejection under the envelope M * U[0,1].
 
-    Each batch's candidates are tested ``_CHUNK`` at a time; every candidate
-    is checked against the envelope, even past the n-th acceptance.
+    Each batch's candidates are tested ``_CHUNK`` at a time on ``map_slices``;
+    every candidate is checked against the envelope, even past the n-th acceptance.
     """
     if n < 0:
         raise UsageError(f"n must be >= 0, got {n}")
@@ -127,27 +172,29 @@ def sample_iid(f: DensityModel, n: int, seed) -> np.ndarray:
             f"{f.name}: class bound M={f.M:g} is too large to size a rejection batch "
             f"for n={n}"
         )
-    rng = substream(seed, "iid")
+    stream = substream(seed, "iid").bit_generator.state
     out = np.empty(n, dtype=float)
     filled = 0
+    drawn = 0  # a batch of b takes x from the next b doubles, then u from the b after
     guard = 0
     while filled < n:
         batch = max(int(1.05 * f.M * (n - filled)) + 16, 64)
-        x = rng.random(batch)
-        # u slice by slice: the same draws as the second row of rng.random((2, batch))
-        for i in range(0, batch, _CHUNK):
-            xs = x[i : i + _CHUNK]
-            u = rng.random(xs.size)
+        def accepted(i: int) -> np.ndarray:
+            xs = stream_at(stream, drawn + i).random(min(_CHUNK, batch - i))
+            u = stream_at(stream, drawn + batch + i).random(xs.size)
             fx = np.asarray(f.pdf(xs), dtype=float)
             if fx.max() > f.M * (1.0 + 1e-9):
                 raise DomainError(
                     f"{f.name}: density value {fx.max():g} exceeds envelope M={f.M}"
                 )
             u *= f.M
-            accepted = xs[u <= fx]
-            take = min(accepted.size, n - filled)
-            out[filled : filled + take] = accepted[:take]
+            return xs[u <= fx]
+
+        for kept in map_slices(accepted, range(0, batch, _CHUNK)):
+            take = min(kept.size, n - filled)
+            out[filled : filled + take] = kept[:take]
             filled += take
+        drawn += 2 * batch
         guard += 1
         if guard > 10_000:
             raise DomainError("rejection sampling stalled; check the class bound M")
@@ -227,46 +274,53 @@ def _format_chunk(x: np.ndarray) -> str:
     that carries to 10^12 leaves the decade.  Each remaining value fills a
     24-byte record (prefix, three 4-digit groups, newline, NUL padding).
     Every other value, ties included, is formatted by ``%`` into its own
-    record, which its at most 20 bytes fit.  Deleting the NULs joins the
-    records into lines.
+    record, NUL-padded (``%-23.12g`` spaces; ``%.12g`` has none and at most 19
+    characters).  Deleting the NULs joins the records into lines.  A chunk
+    mostly outside [1e-4, 1) is one ``%`` pass: records would cost more there.
     """
     prefixes, groups, newline = _record_tables()
     in_range = (x >= 1e-4) & (x < 1.0)
-    xs = np.where(in_range, x, 0.5)  # keeps the arithmetic below finite
-    z = (xs < 0.1).astype(np.intp) + (xs < 0.01) + (xs < 0.001)
-    p = xs * _SCALE[z]
+    if 2 * np.count_nonzero(in_range) < x.size:
+        return ((_FLOAT_FORMAT + "\n") * x.size) % tuple(x.tolist())
+    p = np.where(in_range, x, 0.5)  # keeps the arithmetic below finite
+    z = (p < 0.1).astype(np.uint8) + (p < 0.01) + (p < 0.001)
+    p *= _SCALE[z]
     rounded = np.rint(p)
-    fast = in_range & (np.abs(p - rounded) != 0.5) & (rounded < 1e12)
-    mantissa = np.where(fast, rounded, 1e11).astype(np.int64)  # in-range table indices
-    high = mantissa // 10**8
-    low = mantissa - high * 10**8
-    mid = low // 10**4
-    last = low - mid * 10**4
+    p -= rounded
+    fast = in_range & (np.abs(p, out=p) != 0.5) & (rounded < 1e12)
+    slow = np.flatnonzero(~fast)
+    rounded[slow] = 1e11  # an in-range table index
+    high, low = np.divmod(rounded.astype(np.int64), 10**8)
+    del p, rounded, in_range, fast
     records = np.empty((x.size, 6), dtype=np.uint32)
     records.view(np.uint64)[:, 0] = prefixes[z]
     # a group ends the line, and drops its trailing zeros, when all after it are 0
     records[:, 2] = groups[high + 10_000 * (low == 0)]
+    mid, last = np.divmod(low, 10**4)
     records[:, 3] = groups[mid + 10_000 * (last == 0)]
     records[:, 4] = groups[last + 10_000]
     records[:, 5] = newline
-    slow = np.flatnonzero(~fast)
+    del z, high, low, mid, last
     if slow.size:
-        text = ((_FLOAT_FORMAT + "\n") * slow.size) % tuple(x[slow].tolist())
-        lines = np.array(text.encode().splitlines(keepends=True), dtype="S24")
-        records.view(np.uint8).reshape(-1, 24)[slow] = lines.view(np.uint8).reshape(-1, 24)
-    return records.tobytes().translate(None, b"\0").decode("ascii")
+        text = ("%-23.12g\n" * slow.size % tuple(x[slow].tolist())).encode().replace(b" ", b"\0")
+        records.view(np.uint8).reshape(-1, 24)[slow] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    text = records.view(np.uint8).ravel()
+    text = text[text != 0]
+    del records
+    return text.tobytes().decode("ascii")
 
 
 def format_samples(values) -> Iterator[str]:
     """The sample-file format: one ``%.12g`` value per line, in chunks.
 
     Yields the text of ``_CHUNK`` values at a time, made by ``_format_chunk``
-    only when asked for; joined, the chunks are byte-identical to
-    ``("%.12g\\n" * n) % tuple(values)`` for every input.
+    on ``map_slices`` only when asked for; joined, the chunks are
+    byte-identical to ``("%.12g\\n" * n) % tuple(values)`` for every input.
     """
     values = np.asarray(values, dtype=float).ravel()
-    for i in range(0, values.size, _CHUNK):
-        yield _format_chunk(values[i : i + _CHUNK])
+    return map_slices(
+        lambda i: _format_chunk(values[i : i + _CHUNK]), range(0, values.size, _CHUNK)
+    )
 
 
 def save_samples(path, values) -> None:
@@ -276,11 +330,11 @@ def save_samples(path, values) -> None:
 
 
 def load_samples(path) -> np.ndarray:
-    with open(path) as fh:
-        body = [line.strip() for line in fh if line.strip()]
     try:
+        with open(path) as fh:
+            body = [line.strip() for line in fh if line.strip()]
         values = np.asarray(body, dtype=float)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError included: text that is not UTF-8
         raise UsageError(f"{path}: malformed sample file: {exc}") from None
     if not np.isfinite(values).all():
         raise UsageError(f"{path}: sample values must be finite")

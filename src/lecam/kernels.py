@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .experiments import _CHUNK, Trajectory
+from .experiments import _CHUNK, Trajectory, map_slices, stream_at
 from .measures import DiscreteLaw, PiecewiseLinearDensity
 from .rng import substream, substream_seq
 
@@ -92,13 +92,14 @@ class TentBasis:
         """Matrix of integrals int_0^t V_j, shape (m, len(t))."""
         return self.mixture(np.eye(self.m)).cdf(np.atleast_1d(t))
 
-    def ppf_indexed(self, j_idx, u) -> np.ndarray:
+    def ppf_indexed(self, j_idx, u, out=None) -> np.ndarray:
         """Inverse CDF of V_{j_idx+1} at u, vectorized over both arrays.
 
         For u <= 1/2 the draw rises from the left neighbour's midpoint by
         sqrt(2u)/m, above it falls back from the right neighbour's by
         sqrt(2(1-u))/m; the flat outer halves of V_1 and V_m are linear in u.
         ``j_idx`` must hold integers: a float index raises ``DomainError``.
+        The draws are written into ``out`` when it is given.
         """
         j0, u = np.broadcast_arrays(np.asarray(j_idx), np.asarray(u, dtype=float))
         if not np.issubdtype(j0.dtype, np.integer):
@@ -106,14 +107,15 @@ class TentBasis:
         if j0.size and (j0.min() < 0 or j0.max() >= self.m):
             raise UsageError("tent index out of range")
         m, xs = float(self.m), self.midpoints
+        upper = u > 0.5
+        out = np.sqrt(2.0 * np.minimum(u, 1.0 - u), out=np.empty(u.shape) if out is None else out)
+        out /= m
+        np.copysign(out, 0.5 - u, out=out)  # the step falls back above u = 1/2
         # start knots: entry j for u <= 1/2, entry m + j for u > 1/2
         starts = np.concatenate([xs[:1], xs[:-1], xs[1:], xs[-1:]])
-        upper = u > 0.5
-        # asarray: for 0-d input np.take returns a scalar, not a writable array
-        out = np.asarray(np.take(starts, j0 + self.m * upper))
-        step = np.sqrt(2.0 * np.minimum(u, 1.0 - u)) / m
-        step *= 1.0 - 2.0 * upper
-        out += step
+        knot = self.m * upper
+        knot += j0
+        out += np.take(starts, knot)
         first = (j0 == 0) & ~upper
         out[first] = u[first] / m
         last = (j0 == self.m - 1) & upper
@@ -249,11 +251,15 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
         cells = np.asarray(cells)
         flat = cells.reshape(-1)
         out = np.empty(flat.size)
-        rng = substream(seed, "tent")
+        stream = substream(seed, "tent").bit_generator.state
         # slice by slice: the same uniforms as one uniform(size=cells.shape) call
-        for i in range(0, flat.size, _CHUNK):
+        def draw(i: int) -> None:
             chunk = flat[i : i + _CHUNK]
-            out[i : i + chunk.size] = basis.ppf_indexed(chunk, rng.uniform(size=chunk.size))
+            u = stream_at(stream, i).uniform(size=chunk.size)
+            basis.ppf_indexed(chunk, u, out=out[i : i + chunk.size])
+
+        for _ in map_slices(draw, range(0, flat.size, _CHUNK)):
+            pass
         return out.reshape(cells.shape)
 
     def pushforward(law: DiscreteLaw) -> PiecewiseLinearDensity:

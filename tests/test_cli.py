@@ -543,6 +543,14 @@ class TestTransport:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_input_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        sample = tmp_path / "binary.txt"
+        sample.write_bytes(b"0.5\n\xff\xfe\n")
+        argv = ["transport", "--m", "4", "--in", str(sample), "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {sample}: malformed sample file:")
+
     def test_cli_and_verify_transport_build_the_same_chain(
         self, tmp_path, capsys, monkeypatch
     ):
