@@ -7,7 +7,7 @@ lines), and ``transport`` (push a sample through the full kernel chain).
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including a path that cannot be read or written), 3 numerical failure, 4
 internal error (any other exception, on one line).  Identical (config, seed)
-pairs produce byte-identical output regardless of the parallel degree.
+pairs produce byte-identical output regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -161,13 +161,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.parallel < 1:
+        raise UsageError("parallel degree must be >= 1")
     model = _build_model(args)
     reports = run_suite(
         model,
         seed=args.seed,
         replications=args.reps,
         negative_control=args.negative_control,
-        parallel=args.parallel,
     )
     _emit(["".join(r.to_json() + "\n" for r in reports)], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -256,14 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
         "a second or two (sufficiency and transport checks draw 1e4 points "
         "each; the moment checks are vectorized over replications; the "
         "risk-transfer check runs its replications in fixed-size blocks, "
-        "which --parallel spreads over threads, so its memory no longer "
-        "grows with --reps). Exit 0 iff every check passes.",
+        "so its memory does not grow with --reps). The blocks, then the "
+        "other checks, run on one thread pool of at most two workers, sized "
+        "from the CPUs the process may use. Exit 0 iff every check passes.",
     )
     _add_class_args(v, "cosine:0.3")
     v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--reps", type=int, default=10_000)
     v.add_argument("--negative-control", action="store_true")
-    v.add_argument("--parallel", type=int, default=1, metavar="N")
+    v.add_argument(
+        "--parallel", type=int, default=1, metavar="N",
+        help="accepted for old command lines (N >= 1); it changes nothing",
+    )
     v.add_argument("--out", default="-")
     v.set_defaults(func=cmd_verify)
 

@@ -50,26 +50,28 @@ _cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 _pool = ThreadPoolExecutor(min(2, _cpus or 1), "lecam-slice")
 
 
-def map_slices(fn: Callable, starts: Sequence[int]) -> Iterator:
-    """``fn(start)`` for each slice start, yielded in slice order.
+def map_slices(fn: Callable, items: Sequence) -> Iterator:
+    """``fn(item)`` for each item of a sequence, yielded in sequence order.
 
-    Runs on ``_pool``, at most one slice more than it has workers submitted
-    and not yet yielded.  It runs inline where a pool gains nothing or could
-    wait on itself: for two slices or fewer, on a one-worker pool, and off the
-    main thread (a pool worker's call).  An exception comes out at its
-    slice's turn, and a stopped iterator waits for its running slices.
+    The items are slice starts of a per-point pass, the risk-transfer block
+    numbers or the suite's checks.  Runs on ``_pool``, at most one item more
+    than it has workers submitted and not yet yielded.  It runs inline where
+    a pool gains nothing or could wait on itself: for two items or fewer, on
+    a one-worker pool, and off the main thread (a pool worker's call).  An
+    exception comes out at its item's turn, and a stopped iterator waits for
+    its running items.
     """
     off_main = threading.current_thread() is not threading.main_thread()
-    if len(starts) <= 2 or _pool._max_workers < 2 or off_main:
-        yield from map(fn, starts)
+    if len(items) <= 2 or _pool._max_workers < 2 or off_main:
+        yield from map(fn, items)
         return
     ahead = _pool._max_workers + 1
-    futures = {k: _pool.submit(fn, starts[k]) for k in range(min(ahead, len(starts)))}
+    futures = {k: _pool.submit(fn, items[k]) for k in range(min(ahead, len(items)))}
     try:
-        for k in range(len(starts)):
+        for k in range(len(items)):
             result = futures.pop(k).result()
-            if k + ahead < len(starts):
-                futures[k + ahead] = _pool.submit(fn, starts[k + ahead])
+            if k + ahead < len(items):
+                futures[k + ahead] = _pool.submit(fn, items[k + ahead])
             yield result
     finally:
         wait([fut for fut in futures.values() if not fut.cancel()])

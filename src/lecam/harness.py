@@ -1,8 +1,8 @@
 """Monte Carlo verification of the chain's statistical claims.
 
 Every check is deterministic given the master seed: substreams are named
-by (check, purpose), so the suite gives identical reports serially or in
-parallel.  Statistical tests run at pre-registered levels (0.1% per test)
+by (check, purpose), so the suite gives identical reports however many
+threads run it.  Statistical tests run at pre-registered levels (0.1% per test)
 and moment checks use 4-standard-error bands; negative controls are
 expected to fail and are reported as ordinary failing checks.
 """
@@ -13,7 +13,6 @@ import functools
 import json
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from scipy import stats
 from .approx import hellinger_bound, reconstruct
 from .equivalence import RateParams, bound_density_reconstruction, choose_m
 from .errors import DomainError, UsageError
-from .experiments import format_float, sample_iid, sqrt_cell_means, theta_of
+from .experiments import format_float, map_slices, sample_iid, sqrt_cell_means, theta_of
 from .kernels import (
     bin_counts,
     counts_to_midpoint_sample,
@@ -178,6 +177,11 @@ def verify_sufficiency(
     counts_direct = substream(seed, "multinomial").multinomial(total_n, theta)
     table = np.vstack([counts_binned, counts_direct])
     table, merged = _merge_small_cells(table)
+    if table.shape[1] == 1:
+        raise UsageError(
+            f"sufficiency test at n={total_n}, m={m}: merging cells to expected "
+            "counts of 5 left a single cell, so there is nothing to test"
+        )
     stat, p, dof, _ = stats.chi2_contingency(table, correction=False)
     return CheckReport(
         name=f"sufficiency[{f.name},m={m},n={total_n}]",
@@ -334,7 +338,6 @@ def verify_risk_transfer(
     replications: int = 10_000,
     seed=0,
     rule: Callable | None = None,
-    map: Callable = map,
 ) -> CheckReport:
     """Risk gap across the chain versus the Hellinger-derived TV budget.
 
@@ -355,9 +358,9 @@ def verify_risk_transfer(
     reversed rows and raises ``UsageError`` if they differ.
 
     Replications run in blocks of ``RISK_BLOCK``, each on its own named
-    substreams, so memory stays flat as ``replications`` grows.  ``map``
-    schedules the blocks (``pool.map`` runs them on a thread pool); their
-    loss moments merge in block order, so the report does not depend on it.
+    substreams, so memory stays flat as ``replications`` grows.  The blocks
+    run through ``experiments.map_slices`` and their loss moments merge in
+    block order, so the report does not depend on how many run at once.
     """
     R = int(replications)
     if R < 2:
@@ -393,7 +396,7 @@ def verify_risk_transfer(
         source = checked_moments(problem.loss(theta_true, actions))
         return target, source
 
-    blocks = list(map(block, range(-(-R // RISK_BLOCK))))
+    blocks = list(map_slices(block, range(-(-R // RISK_BLOCK))))
     risk_t = _risk_estimate(functools.reduce(merge_moments, (t for t, _ in blocks)))
     risk_s = _risk_estimate(functools.reduce(merge_moments, (s for _, s in blocks)))
 
@@ -496,94 +499,66 @@ def run_suite(
     seed,
     replications: int = 10_000,
     negative_control: bool = False,
-    parallel: int = 1,
 ) -> list[CheckReport]:
     """The default verification suite; deterministic given the master seed."""
-    if parallel < 1:
-        raise UsageError("parallel degree must be >= 1")
     f.validate()
-    jobs: list[tuple[str, Callable[[], CheckReport]]] = []
-
-    for m in (4, 8, 16):
-        jobs.append(
-            (
-                f"sufficiency-m{m}",
-                lambda m=m: verify_sufficiency(
-                    f, n=10_000, m=m, seed=substream_seq(seed, "sufficiency", m)
-                ),
-            )
+    # the risk-transfer check, most of the work, runs first on this thread so
+    # that its blocks fan out on the slice pool with no check in flight there
+    # that could wait on this thread; the other checks follow on the pool, one
+    # per slice, and the risk report goes after the positive checks
+    risk = verify_risk_transfer(
+        theta1_problem(16),
+        f,
+        n=1000,
+        m=16,
+        replications=replications,
+        seed=substream_seq(seed, "risk"),
+    )
+    jobs: list[Callable[[], CheckReport]] = [
+        functools.partial(
+            verify_sufficiency, f, n=10_000, m=m, seed=substream_seq(seed, "sufficiency", m)
         )
-    for m in (8, 16):
-        jobs.append(
-            (
-                f"transport-m{m}",
-                lambda m=m: verify_transport(
-                    f, n=10_000, m=m, seed=substream_seq(seed, "transport", m)
-                ),
-            )
+        for m in (4, 8, 16)
+    ]
+    jobs += [
+        functools.partial(
+            verify_transport, f, n=10_000, m=m, seed=substream_seq(seed, "transport", m)
         )
-    for n in (25, 100):
-        jobs.append(
-            (
-                f"ystar-n{n}",
-                lambda n=n: verify_ystar_moments(
-                    f,
-                    n=n,
-                    m=8,
-                    replications=replications,
-                    seed=substream_seq(seed, "ystar", n),
-                ),
-            )
-        )
-    risk_index = len(jobs)  # the risk report follows the positive checks
-    if negative_control:
-        wrong = _perturbed_theta(theta_of(f, 8).theta)
-        jobs.append(
-            (
-                "negative-sufficiency",
-                lambda: verify_sufficiency(
-                    f,
-                    n=10_000,
-                    m=8,
-                    seed=substream_seq(seed, "neg-sufficiency"),
-                    theta_override=wrong,
-                ),
-            )
-        )
-        jobs.append(
-            (
-                "negative-transport",
-                lambda: verify_transport(
-                    f,
-                    n=10_000,
-                    m=8,
-                    seed=substream_seq(seed, "neg-transport"),
-                    skip_reconstruction=True,
-                ),
-            )
-        )
-
-    def risk_transfer(map: Callable) -> CheckReport:
-        return verify_risk_transfer(
-            theta1_problem(16),
+        for m in (8, 16)
+    ]
+    jobs += [
+        functools.partial(
+            verify_ystar_moments,
             f,
-            n=1000,
-            m=16,
+            n=n,
+            m=8,
             replications=replications,
-            seed=substream_seq(seed, "risk"),
-            map=map,
+            seed=substream_seq(seed, "ystar", n),
         )
-
-    if parallel == 1:
-        risk = risk_transfer(map)
-        reports = [job() for _, job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            # the risk-transfer blocks, most of the work, go to the pool before
-            # the small checks, so they never queue behind a job that waits on
-            # this thread; no pool worker waits on the pool
-            risk = risk_transfer(pool.map)
-            futures = [pool.submit(job) for _, job in jobs]
-            reports = [fut.result() for fut in futures]
+        for n in (25, 100)
+    ]
+    risk_index = len(jobs)
+    if negative_control:
+        jobs.append(
+            functools.partial(
+                verify_sufficiency,
+                f,
+                n=10_000,
+                m=8,
+                seed=substream_seq(seed, "neg-sufficiency"),
+                theta_override=_perturbed_theta(theta_of(f, 8).theta),
+            )
+        )
+        jobs.append(
+            functools.partial(
+                verify_transport,
+                f,
+                n=10_000,
+                m=8,
+                seed=substream_seq(seed, "neg-transport"),
+                skip_reconstruction=True,
+            )
+        )
+    reports = list(map_slices(lambda job: job(), jobs))
     reports.insert(risk_index, risk)
     return reports

@@ -1,8 +1,8 @@
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from scipy import stats
 import lecam.approx
 import lecam.harness
 
+from lecam.cli import main
 from lecam.densities import cosine, uniform
 from lecam.equivalence import RateParams, bound_density_reconstruction
 from lecam.errors import UsageError
@@ -32,8 +33,21 @@ from lecam.harness import (
 )
 from lecam.kernels import MarkovKernel, bin_counts, binning_kernel, unit_interval_space
 from lecam.measures import PiecewiseLinearDensity
+from test_slice_pool import slice_pool
 
 COSINE = cosine([0.3])
+
+
+def under_pools(monkeypatch, fn, sizes=(1, 2, 3)):
+    """``fn()`` under slice pools of each size in ``sizes``."""
+    results = []
+    for workers in sizes:
+        pool = slice_pool(monkeypatch, workers)
+        try:
+            results.append(fn())
+        finally:
+            pool.shutdown()
+    return results
 
 
 class TestSufficiency:
@@ -59,6 +73,12 @@ class TestSufficiency:
         report = verify_sufficiency(COSINE, n=2_000, m=4, replications=5, seed=9)
         assert report.passed
         assert "n=10000" in report.name
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_too_few_draws_for_two_cells_is_a_usage_error(self, n):
+        # every column merges into one: a chi-square test with 0 dof never runs
+        with pytest.raises(UsageError, match=f"n={n}, m=8"):
+            verify_sufficiency(COSINE, n=n, m=8, seed=1)
 
 
 class TestTransport:
@@ -239,8 +259,9 @@ class TestRiskTransferBlocks:
             losses.std(ddof=1), abs=1e-12
         )
 
-    def test_report_is_the_moments_of_every_loss(self):
-        # record each block's losses in the order the serial map runs them
+    def test_report_is_the_moments_of_every_loss(self, monkeypatch):
+        # a one-worker pool runs the blocks inline, so losses append in block order
+        slice_pool(monkeypatch, 1)
         base = theta1_problem(8)
         seen = []
 
@@ -265,15 +286,19 @@ class TestRiskTransferBlocks:
                 losses.std(ddof=1) / math.sqrt(self.R), abs=1e-12
             )
 
-    def test_pool_map_gives_the_serial_report(self):
-        args = (theta1_problem(8), COSINE)
-        kwargs = dict(n=200, m=8, replications=self.R, seed=3)
-        serial = verify_risk_transfer(*args, **kwargs)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = verify_risk_transfer(*args, **kwargs, map=pool.map)
-        assert pooled == serial
+    def test_pool_map_gives_the_serial_report(self, monkeypatch):
+        def report():
+            return verify_risk_transfer(
+                theta1_problem(8), COSINE, n=200, m=8, replications=self.R, seed=3
+            )
 
-    def test_memory_does_not_grow_with_replications(self):
+        serial, *pooled = under_pools(monkeypatch, report)
+        assert pooled == [serial, serial]
+
+    def test_memory_does_not_grow_with_replications(self, monkeypatch):
+        # both sizes fan out on two workers: more than two blocks, three in flight
+        pool = slice_pool(monkeypatch, 2)
+
         def peak(blocks):
             tracemalloc.start()
             try:
@@ -285,7 +310,10 @@ class TestRiskTransferBlocks:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(2), peak(8)
+        try:
+            small, large = peak(3), peak(12)
+        finally:
+            pool.shutdown()
         assert large <= 1.5 * small, (small, large)
 
     def test_needs_two_replications(self):
@@ -323,18 +351,20 @@ class TestRateSweep:
 
 
 class TestSuite:
-    def test_deterministic_across_parallelism(self):
-        serial = run_suite(COSINE, seed=42, replications=1_000)
-        threaded = run_suite(COSINE, seed=42, replications=1_000, parallel=8)
-        assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
+    def test_deterministic_across_parallelism(self, monkeypatch):
+        serial, *threaded = under_pools(
+            monkeypatch, lambda: run_suite(COSINE, seed=42, replications=1_000)
+        )
+        for reports in threaded:
+            assert [r.to_json() for r in serial] == [r.to_json() for r in reports]
         assert all(r.passed for r in serial)
 
-    def test_uneven_blocks_deterministic_across_parallelism(self):
+    def test_uneven_blocks_deterministic_across_parallelism(self, monkeypatch):
         R = 12 * RISK_BLOCK + 34
-        reports = [
-            [r.to_json() for r in run_suite(COSINE, seed=7, replications=R, parallel=p)]
-            for p in (1, 2, 8)
-        ]
+        reports = under_pools(
+            monkeypatch,
+            lambda: [r.to_json() for r in run_suite(COSINE, seed=7, replications=R)],
+        )
         assert reports[0] == reports[1] == reports[2]
         assert f"reps={R}]" in reports[0][7]
 
@@ -346,9 +376,30 @@ class TestSuite:
         assert len(failing) == 2
         assert all(r.details.get("negative_control") for r in failing)
 
-    def test_parallel_guard(self):
-        with pytest.raises(UsageError):
-            run_suite(COSINE, seed=1, parallel=0)
+    def test_parallel_guard(self, capsys):
+        for degree in ("0", "-1"):
+            assert main(["verify", "--seed", "1", "--parallel", degree]) == 2
+            assert "parallel degree must be >= 1" in capsys.readouterr().err
+
+    def test_runs_on_the_slice_pool_alone(self, monkeypatch, capsys):
+        # --parallel builds no pool of its own: every draw sees at most the
+        # calling thread plus the slice pool's workers
+        pool = slice_pool(monkeypatch, 2)
+        before = threading.active_count()
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(threading.active_count())
+            return sample_iid(*args, **kwargs)
+
+        monkeypatch.setattr(lecam.harness, "sample_iid", counted)
+        try:
+            argv = ["verify", "--seed", "42", "--reps", "400", "--parallel", "8"]
+            assert main(argv) == 0
+        finally:
+            pool.shutdown()
+        capsys.readouterr()
+        assert seen and max(seen) <= before + pool._max_workers, (before, max(seen))
 
 
 class TestReportSerialization:

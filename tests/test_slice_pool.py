@@ -1,7 +1,8 @@
 """The slice pool: the same numbers and bytes whatever the worker count.
 
 ``experiments.map_slices`` runs the per-slice passes of ``transport`` (the
-sampler's candidate slices, the tent draws and the writer's chunks) on a
+sampler's candidate slices, the tent draws and the writer's chunks) and the
+``verify`` suite (the risk-transfer blocks, then the other checks) on a
 thread pool of at most two workers.  Each test here runs under pools of 1, 2
 and 3 workers and compares with a whole-array reference or a pinned hash, so
 none of them depends on the machine's CPU count.
@@ -177,8 +178,8 @@ class TestSlicePool:
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_verify_under_each_slice_pool(self, workers, capsys, parallel):
-        # with --parallel 2 the suite's own pool workers run their slices inline,
-        # so no pool waits on itself; with --parallel 1 the suite fans out
+        # --parallel is accepted and changes nothing: the suite runs its checks
+        # on the slice pool, whose workers run their own slices inline
         argv = ["verify", "--seed", "42", "--reps", "10000", "--parallel", parallel]
         code, out, _ = test_cli.run(argv, capsys)
         assert code == 0
