@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "integral of (f-g)^2, not its square root",
     )
     d.add_argument("--out", default="-")
-    d.set_defaults(func=cmd_distance)
 
     s = sub.add_parser("sweep", help="rate sweep along the bin tuning rule")
     _add_class_args(s, "cosine:0.3")
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default="-")
-    s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser(
         "verify",
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for old command lines (N >= 1); it changes nothing",
     )
     v.add_argument("--out", default="-")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser(
         "transport",
@@ -293,15 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--counts", default=None, help="comma-separated counts vector")
     t.add_argument("--seed", type=_seed, required=True)
     t.add_argument("--out", default="-")
-    t.set_defaults(func=cmd_transport)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built on the first call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a patched ``cmd_*`` takes effect
+        return globals()["cmd_" + args.command](args)
     except (UsageError, DomainError, OSError) as exc:
         # OSError: an --in file that cannot be read or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -474,6 +474,8 @@ def rate_sweep(f: DensityModel, gamma: float, n_grid, seed=0) -> SweepResult:
             rows=tuple(rows), slope=None, slope_ci=None, exact_zero=bool(not keep.any())
         )
     x = np.log(np.asarray([r[0] for r in rows], dtype=float)[keep])
+    if x.min() == x.max():
+        raise UsageError("rate sweeps need at least two distinct sample sizes to fit")
     y = np.log(measured_col[keep])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

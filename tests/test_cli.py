@@ -250,6 +250,83 @@ class TestSweep:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_one_distinct_size_exits_2(self, capsys):
+        # the slope's standard error divides by the spread of log n, here 0
+        code, out, err = run(["sweep", "--n-grid", "16,16,16,16", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: rate sweeps need at least two distinct sample sizes to fit\n"
+
+    def test_oversized_quadrature_exits_3_before_evaluating(self, monkeypatch, capsys):
+        # a small cap stands in for a huge n: at n = 1e9 (m = 1000) the
+        # Hellinger quadrature's 2000 cells would need a first refinement of
+        # 32 * 2000 panels, above 8 * PANEL_CAP = 32768
+        levels = []
+        real = lecam.quadrature._simpson
+
+        def spy(f, edges, p, *rest):
+            levels.append(p * (len(edges) - 1))
+            return real(f, edges, p, *rest)
+
+        monkeypatch.setattr(lecam.quadrature, "PANEL_CAP", 4096)
+        monkeypatch.setattr(lecam.quadrature, "_simpson", spy)
+        code, out, err = run(
+            ["sweep", "--n-grid", "10,20,30,40,1000000000", "--seed", "1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: quadrature would need 32 panels per cell over "
+            "2000 cells, above 32768\n"
+        )
+        assert 0 < max(levels) <= 32768
+
+
+class TestParserReuse:
+    """``main`` builds one parser per process; its calls share no parse state."""
+
+    SEQUENCE = [
+        ["distance", "--normal", "0,1", "--normal", "1,4", "--metric", "tv"],
+        ["distance", "--metric", "nope"],  # argparse error: SystemExit(2)
+        ["distance", "--normal", "0,1", "--normal", "1,1", "--normal", "2,1"],
+        ["distance", "--density", "uniform", "--density", "cosine:0.3"],
+    ]
+
+    @staticmethod
+    def _in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        builds = []
+        real = lecam.cli.build_parser
+        monkeypatch.setattr(lecam.cli, "_parser", None)
+        monkeypatch.setattr(lecam.cli, "build_parser", lambda: builds.append(1) or real())
+        for argv in self.SEQUENCE * 3:
+            self._in_process(argv, capsys)
+        assert len(builds) == 1
+
+    def test_each_call_matches_a_fresh_process(self, monkeypatch, capsys):
+        import os
+        import subprocess
+        import sys
+
+        # the usage text wraps at the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        got = [self._in_process(argv, capsys) for argv in self.SEQUENCE]
+        want = []
+        for argv in self.SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lecam.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            want.append((proc.returncode, proc.stdout, proc.stderr))
+        assert got == want
+        assert [code for code, _, _ in got] == [0, 2, 2, 0]
+
 
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
