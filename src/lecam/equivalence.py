@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .experiments import sqrt_cell_means, theta_of
-from .measures import DensityModel
 
 __all__ = [
     "RateParams",
@@ -24,7 +22,6 @@ __all__ = [
     "bound_density_reconstruction",
     "bound_carter_multinomial",
     "bound_carter_independent",
-    "bound_gaussian_link",
     "choose_m",
     "total_bound",
     "total_bound_curve",
@@ -126,18 +123,6 @@ def bound_carter_multinomial(p: RateParams) -> float:
 def bound_carter_independent(p: RateParams) -> float:
     """C_R m / sqrt(n): correlated normal vs. independent-coordinate normal."""
     return float(_carter_independent_mn(p.n, p.m, p.C_R))
-
-
-def bound_gaussian_link(p: RateParams, f: DensityModel) -> float:
-    """Computable bound between the two independent-Gaussian experiments.
-
-    sqrt(2 m n) * sqrt( sum_i ( int_{J_i} sqrt f  -  sqrt(theta_i / m) )^2 ),
-    which vanishes identically for the uniform density.
-    """
-    theta = theta_of(f, p.m).theta
-    g = sqrt_cell_means(f, p.m)
-    gap = g - np.sqrt(theta / p.m)
-    return float(math.sqrt(2.0 * p.m * p.n) * math.sqrt((gap**2).sum()))
 
 
 def choose_m(n: int, gamma: float) -> int:

@@ -103,10 +103,6 @@ class ThetaVector:
         if abs(th.sum() - 1.0) > 1e-10:
             raise DomainError(f"theta sums to {th.sum():.15g}, not 1")
 
-    @property
-    def m(self) -> int:
-        return int(self.theta.size)
-
 
 @dataclass(frozen=True)
 class Trajectory:

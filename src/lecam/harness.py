@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .approx import hellinger_bound, reconstruct
+from .approx import hellinger_sq, reconstruct
 from .equivalence import RateParams, bound_density_reconstruction, choose_m
 from .errors import DomainError, UsageError
 from .experiments import format_float, map_slices, sample_iid, sqrt_cell_means, theta_of
@@ -42,7 +42,6 @@ __all__ = [
     "verify_sufficiency",
     "verify_transport",
     "verify_ystar_moments",
-    "transfer_rule",
     "theta1_problem",
     "merge_moments",
     "verify_risk_transfer",
@@ -299,19 +298,6 @@ def verify_ystar_moments(
     )
 
 
-def transfer_rule(rule: Callable, kernel) -> Callable:
-    """Pull a decision rule back through a kernel.
-
-    Returns ``y, seed -> rule(kernel.sample(y, seed'))``, the sampled
-    realization of composing the rule's law with the kernel.
-    """
-
-    def transferred(y, seed):
-        return rule(kernel.sample(y, substream_seq(seed, "transfer")))
-
-    return transferred
-
-
 def merge_moments(a: tuple, b: tuple) -> tuple[int, float, float]:
     """Chan, Golub & LeVeque's pairwise update of (count, mean, M2) triples.
 
@@ -400,7 +386,7 @@ def verify_risk_transfer(
     risk_t = _risk_estimate(functools.reduce(merge_moments, (t for t, _ in blocks)))
     risk_s = _risk_estimate(functools.reduce(merge_moments, (s for _, s in blocks)))
 
-    h_sq = hellinger_bound(f, m).hellinger_sq
+    h_sq = hellinger_sq(f, m)
     tv_budget = tv_sandwich(hellinger_sq_product([h_sq] * n))[1]
     gap = abs(risk_s.value - risk_t.value)
     allowance = tv_budget + MOMENT_BAND * math.hypot(
@@ -461,7 +447,7 @@ def rate_sweep(f: DensityModel, gamma: float, n_grid, seed=0) -> SweepResult:
     for n in ns:
         m = choose_m(n, gamma)
         if m not in cache:
-            h_sq = hellinger_bound(f, m).hellinger_sq
+            h_sq = hellinger_sq(f, m)
             # below quadrature noise the reconstruction is exact (uniform case)
             cache[m] = h_sq if h_sq > 1e-20 else 0.0
         measured = math.sqrt(n) * math.sqrt(cache[m])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,20 +39,29 @@ __all__ = [
     "synthesize_ystar",
 ]
 
-# A sample space is (base descriptor, number of i.i.d. coordinates).  The
-# coordinates of "midpoint[m]" are cell indices 0..m-1: index j stands for the
-# midpoint x_{j+1}*, and the label carries the whole midpoint law.
-Space = tuple[str, int]
+@dataclass(frozen=True)
+class Space:
+    """A sample space: ``coordinates`` i.i.d. points of one ``kind``.
 
+    "unit-interval" points lie in [0, 1]; a "counts" point is one vector of m
+    cell counts summing to n; "midpoint" points are cell indices 0..m-1, and
+    index j stands for the midpoint x_{j+1}*.
+    """
 
-def unit_interval_space(n: int) -> Space:
-    return ("unit-interval", n)
+    kind: str
+    coordinates: int
+    m: int | None = None
+    n: int | None = None
 
-def counts_space(n: int, m: int) -> Space:
-    return (f"counts[{m};n={n}]", 1)
-
-def midpoint_space(n: int, m: int) -> Space:
-    return (f"midpoint[{m}]", n)
+    def check(self, x) -> np.ndarray:
+        """``x`` as an array whose last axis is one point of this space."""
+        x = np.asarray(x)
+        width = self.m if self.kind == "counts" else self.coordinates
+        if x.ndim < 1 or x.shape[-1] != width:
+            raise UsageError(f"expected {width} {self.kind} values, got shape {x.shape}")
+        if self.kind == "counts" and np.any(x.sum(axis=-1) != self.n):
+            raise UsageError(f"counts must sum to {self.n}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -202,36 +211,22 @@ def counts_to_midpoint_sample(counts, seed) -> np.ndarray:
 
 def binning_kernel(n: int, m: int) -> MarkovKernel:
     """Deterministic kernel realizing the binning statistic."""
-
-    def sample(xs, seed):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim < 1 or xs.shape[-1] != n:
-            raise UsageError(f"expected {n} points, got shape {xs.shape}")
-        return bin_counts(xs, m)
-
+    source = Space("unit-interval", n)
     return MarkovKernel(
-        source=unit_interval_space(n),
-        target=counts_space(n, m),
-        sample=sample,
+        source=source,
+        target=Space("counts", 1, m=m, n=n),
+        sample=lambda xs, seed: bin_counts(source.check(xs), m),
         label=f"bin[{m}]",
     )
 
 
 def midpoint_kernel(n: int, m: int) -> MarkovKernel:
     """Sufficiency inverse: counts -> uniformly ordered cell indices."""
-
-    def sample(counts, seed):
-        counts = np.asarray(counts)
-        if counts.ndim < 1 or counts.shape[-1] != m:
-            raise UsageError(f"expected {m} cells, got shape {counts.shape}")
-        if np.any(counts.sum(axis=-1) != n):
-            raise UsageError(f"counts must sum to {n}")
-        return counts_to_midpoint_sample(counts, seed)
-
+    source = Space("counts", 1, m=m, n=n)
     return MarkovKernel(
-        source=counts_space(n, m),
-        target=midpoint_space(n, m),
-        sample=sample,
+        source=source,
+        target=Space("midpoint", n, m=m),
+        sample=lambda counts, seed: counts_to_midpoint_sample(source.check(counts), seed),
         label=f"midpoints[{m}]",
     )
 
@@ -269,8 +264,8 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
         return basis.mixture(np.bincount(cells.astype(int), law.masses, minlength=m))
 
     return MarkovKernel(
-        source=midpoint_space(1, m),
-        target=unit_interval_space(1),
+        source=Space("midpoint", 1, m=m),
+        target=Space("unit-interval", 1),
         sample=sample,
         pushforward_density=pushforward,
         label=f"tent[{m}]",
@@ -289,12 +284,10 @@ def product_kernel(kernel: MarkovKernel, n: int) -> MarkovKernel:
         raise UsageError("product of zero kernels")
     if n == 1:
         return kernel
+    source = replace(kernel.source, coordinates=n * kernel.source.coordinates)
 
     def sample(xs, seed):
-        xs = np.asarray(xs)
-        if xs.ndim < 1 or xs.shape[-1] != n:
-            raise UsageError(f"expected {n} coordinates, got shape {xs.shape}")
-        return kernel.sample(xs, substream_seq(seed, "coords"))
+        return kernel.sample(source.check(xs), substream_seq(seed, "coords"))
 
     pushforward = None
     if kernel.pushforward_density is not None:
@@ -304,10 +297,9 @@ def product_kernel(kernel: MarkovKernel, n: int) -> MarkovKernel:
                 raise UsageError(f"expected {n} component laws")
             return [kernel.pushforward_density(law) for law in laws]
 
-    (source, k_in), (target, k_out) = kernel.source, kernel.target
     return MarkovKernel(
-        source=(source, n * k_in),
-        target=(target, n * k_out),
+        source=source,
+        target=replace(kernel.target, coordinates=n * kernel.target.coordinates),
         sample=sample,
         pushforward_density=pushforward,
         label=f"product[{n}]",

@@ -211,7 +211,7 @@ class PiecewiseLinearDensity:
 
 
 METRICS = ("tv", "hellinger", "hellinger-sq", "l1", "l2")
-_METHODS = ("closed_form", "quadrature", "monte_carlo")
+_METHODS = ("closed_form", "quadrature")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ import pytest
 from lecam.approx import (
     ErrorBreakdown,
     hellinger_bound,
+    hellinger_sq,
     l2_error_sq,
     reconstruct,
     remainder_sup,
 )
 from lecam.densities import affine, cosine, uniform
-from lecam.errors import DomainError, UsageError
+from lecam.errors import NumericalError, UsageError
 from lecam.experiments import theta_of
 from lecam.kernels import reconstruction_kernel, tent_basis
 from lecam.measures import DensityModel, DiscreteLaw, PiecewiseLinearDensity
@@ -160,8 +161,15 @@ class TestHellingerBound:
         assert max(vals) <= 1.0
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("f", [COSINE, affine(0.8)], ids=["cosine", "affine"])
+    def test_hellinger_sq_is_the_breakdowns_h2(self, f):
+        # the sweeps and the risk budget read this value with no L2 quadrature
+        for m in (4, 16):
+            assert hellinger_sq(f, m) == hellinger_bound(f, m).hellinger_sq
+
     def test_breakdown_invariant(self):
-        with pytest.raises(DomainError):
+        # H^2 above its L2 bound is an internal inconsistency: exit 3, not a usage error
+        with pytest.raises(NumericalError):
             ErrorBreakdown(
                 l2_sq=1e-4, hellinger_sq=1.0, hellinger_sq_bound=1e-4
             )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lecam.approx
 import lecam.cli
 import lecam.harness
 import lecam.kernels
@@ -97,6 +98,48 @@ class TestDistance:
         record = json.loads(out)
         assert record["method"] == "quadrature"
         assert 0.0 < record["value"] < 2.0
+
+    # SHA-256 of stdout for the two density-pair distances of the benchmark's
+    # bounds workload (its seed-1 amplitudes), recorded before sweeps read H^2 alone
+    PINNED = {
+        ("cosine:0.101407", "cosine:0.320491", "tv"): (
+            "0de0b0ce9f199990f04e55ea61bed2a9ea2252f9ef2c0ddb9080b14ccf1be996"
+        ),
+        ("cosine:0.101407", "cosine:0.320491", "l1"): (
+            "690d99917f9eeb0370994836ad18f1a62a7019077766727c9829bd2f1a53a732"
+        ),
+        ("cosine:0.101407", "cosine:0.320491", "l2"): (
+            "d784153a0d19afaf1acd94e8bf961f2c86653289e85ade03454bf77e6512cb72"
+        ),
+        ("cosine:0.101407", "cosine:0.320491", "hellinger"): (
+            "e4494d8595a51d1aabb3dc382241cce46a71b2afcc21d0ebbd586c855d760b48"
+        ),
+        ("cosine:0.101407", "cosine:0.320491", "hellinger-sq"): (
+            "387abb5601725384d741e81d30f7f5ce9efd9ce92ace95d7e07e0e5754c31686"
+        ),
+        ("affine:0.482382", "uniform", "tv"): (
+            "b5c398290f8731989ae7573d93823c9c4e0ab2162eea58c8b41a7b80d9e5b4e3"
+        ),
+        ("affine:0.482382", "uniform", "l1"): (
+            "9c78d59fed18d72303b75054af52c752b8da76c05709fd8528f4bb152be4f9ed"
+        ),
+        ("affine:0.482382", "uniform", "l2"): (
+            "c3bce9edcfa43e506794aafc1d471845612ac3a6f578a815212988a63eafa662"
+        ),
+        ("affine:0.482382", "uniform", "hellinger"): (
+            "25ac4fa83e00342d3fb964dcda0fe124242f217af3198fd38529d6d27d45c4cd"
+        ),
+        ("affine:0.482382", "uniform", "hellinger-sq"): (
+            "d43a11f71caf7d62d47698de083b42d278f141175f19642bc703c01c58cced06"
+        ),
+    }
+
+    @pytest.mark.parametrize("fa, fb, metric", sorted(PINNED))
+    def test_density_pair_bytes_are_pinned(self, fa, fb, metric, capsys):
+        argv = ["distance", "--density", fa, "--density", fb, "--metric", metric]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[fa, fb, metric]
 
     @pytest.mark.parametrize("metric", ["tv", "hellinger", "hellinger-sq", "l1", "l2"])
     def test_normal_pairs_never_integrate(self, metric, monkeypatch, capsys):
@@ -197,6 +240,43 @@ class TestDistance:
 
 
 class TestSweep:
+    # SHA-256 of stdout for the benchmark's sweeps, recorded before sweeps
+    # read H^2 alone
+    PINNED = {
+        ("cosine:0.3", "csv"): "9a3f1e8587006093c78a024382d1ac81bfa1ad39ebfef5e747c15368bb914416",
+        ("cosine:0.3", "json"): "723ab3ff3d6b51e1737caf94790c737e51db9b79752478955685bdc9674fb87f",
+        ("affine:0.5", "csv"): "06f1390709ce959bd5a185a9f1a949d85531b23da6e62a6e2b0fb21d6262dc03",
+        ("affine:0.5", "json"): "feb4b89cb2f7fcf837049e1ca8f6babb87119af022ebebc2f274b150084f38d5",
+    }
+
+    @pytest.mark.parametrize("spec, fmt", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, spec, fmt, capsys):
+        argv = [
+            "sweep", "--density", spec, "--n-grid", "1024,4096,16384,65536",
+            "--seed", "7", "--format", fmt,
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[spec, fmt]
+
+    def test_sweeps_and_risk_budget_skip_the_l2_quadrature(self, monkeypatch, capsys):
+        calls = []
+        real = lecam.approx.l2_error_sq
+
+        def spy(f, m, *rest, **kwargs):
+            calls.append(m)
+            return real(f, m, *rest, **kwargs)
+
+        monkeypatch.setattr(lecam.approx, "l2_error_sq", spy)
+        argv = ["sweep", "--density", "cosine:0.3", "--n-grid", "1024,4096,16384,65536", "--seed", "7"]
+        assert run(argv, capsys)[0] == 0
+        lecam.harness.verify_risk_transfer(
+            lecam.harness.theta1_problem(8), cosine([0.3]), n=100, m=8, replications=200, seed=1
+        )
+        assert calls == []
+        lecam.approx.hellinger_bound(cosine([0.3]), 8)
+        assert calls == [8]
+
     def test_uniform_csv_is_byte_exact(self, capsys):
         argv = [
             "sweep", "--density", "uniform",

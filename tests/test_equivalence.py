@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 
 import lecam.equivalence
-from lecam.densities import cosine, uniform
 from lecam.equivalence import (
     ChainBound,
     RateParams,
     bound_carter_independent,
     bound_carter_multinomial,
     bound_density_reconstruction,
-    bound_gaussian_link,
     choose_m,
     minimize_total,
     total_bound,
     total_bound_curve,
 )
 from lecam.errors import DomainError
-
-COSINE = cosine([0.3])
 
 
 def target_rate(n: int, gamma: float) -> float:
@@ -100,36 +96,6 @@ class TestCarterRates:
             RateParams(4, 4, 1.5)
         with pytest.raises(DomainError):
             RateParams(4, 4, 1.0, C_R=0.0)
-
-
-class TestGaussianLink:
-    def test_uniform_vanishes(self):
-        p = RateParams(n=100, m=8, gamma=1.0)
-        assert bound_gaussian_link(p, uniform()) <= 1e-10
-
-    def test_scales_as_sqrt_n(self):
-        a = bound_gaussian_link(RateParams(n=100, m=8, gamma=1.0), COSINE)
-        b = bound_gaussian_link(RateParams(n=400, m=8, gamma=1.0), COSINE)
-        assert b == pytest.approx(2.0 * a, rel=1e-9)
-
-    def test_measured_slope_in_m(self):
-        # the computable formula is a Jensen gap driven by (f')^2 / m^2, so it
-        # decays at slope ~ -2 for every class density with bounded derivative;
-        # that is steeper than (consistent with) the advertised
-        # O(sqrt n (m^{-1-gamma} + m^{-3/2})) envelope
-        ms = np.array([8, 16, 32, 64, 128])
-        vals = np.array(
-            [bound_gaussian_link(RateParams(1000, int(m), 1.0), COSINE) for m in ms]
-        )
-        slope = np.polyfit(np.log(ms), np.log(vals), 1)[0]
-        assert slope == pytest.approx(-2.0, abs=0.3)
-        envelope = np.array(
-            [
-                bound_density_reconstruction(RateParams(1000, int(m), 1.0))
-                for m in ms
-            ]
-        )
-        assert (vals <= envelope).all()
 
 
 class TestChooseM:

@@ -25,13 +25,11 @@ from lecam.harness import (
     run_suite,
     sig12,
     theta1_problem,
-    transfer_rule,
     verify_risk_transfer,
     verify_sufficiency,
     verify_transport,
     verify_ystar_moments,
 )
-from lecam.kernels import MarkovKernel, bin_counts, binning_kernel, unit_interval_space
 from lecam.measures import PiecewiseLinearDensity
 from test_slice_pool import slice_pool
 
@@ -142,25 +140,6 @@ class TestYstarMoments:
     def test_replication_floor(self):
         with pytest.raises(UsageError):
             verify_ystar_moments(COSINE, n=25, m=4, replications=10, seed=0)
-
-
-class TestTransferRule:
-    def test_identity_kernel_keeps_rule(self):
-        space = unit_interval_space(4)
-        ident = MarkovKernel(source=space, target=space, sample=lambda x, seed: x)
-        rule = lambda xs: float(np.mean(xs))
-        moved = transfer_rule(rule, ident)
-        xs = np.array([0.1, 0.2, 0.3, 0.4])
-        assert moved(xs, seed=5) == rule(xs)
-
-    def test_deterministic_kernel_composes(self):
-        # a deterministic statistic S makes the transferred rule rule(S(y))
-        n, m = 50, 4
-        kernel = binning_kernel(n, m)
-        rule = lambda counts: counts[0] / n
-        moved = transfer_rule(rule, kernel)
-        xs = sample_iid(COSINE, n, 13)
-        assert moved(xs, seed=0) == rule(bin_counts(xs, m))
 
 
 class TestRiskTransfer:

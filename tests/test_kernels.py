@@ -11,6 +11,7 @@ from lecam.errors import DomainError, UsageError
 from lecam.experiments import sample_iid, theta_of
 from lecam.kernels import (
     MarkovKernel,
+    Space,
     bin_counts,
     binning_kernel,
     brownian_bridge_paths,
@@ -23,7 +24,6 @@ from lecam.kernels import (
     tent_basis,
     transport_batch,
     transport_chain,
-    unit_interval_space,
 )
 from lecam.measures import DiscreteLaw
 from lecam.rng import substream_seq
@@ -313,9 +313,51 @@ class TestReconstructionKernel:
             walk(stage.sample)
 
 
+class TestSpace:
+    def test_chain_stage_spaces(self):
+        n, m = 12, 4
+        spaces = [(s.source, s.target) for s in transport_chain(n, m).stages]
+        assert spaces == [
+            (Space("unit-interval", n), Space("counts", 1, m=m, n=n)),
+            (Space("counts", 1, m=m, n=n), Space("midpoint", n, m=m)),
+            (Space("midpoint", n, m=m), Space("unit-interval", n)),
+        ]
+
+    def test_check_width_and_counts_total(self):
+        counts = Space("counts", 1, m=3, n=5)
+        assert counts.check([[1, 2, 2], [5, 0, 0]]).shape == (2, 3)
+        for bad in ([1, 2, 2, 0], [1, 2, 3], 5):
+            with pytest.raises(UsageError):
+                counts.check(bad)
+        points = Space("unit-interval", 3)
+        assert points.check([0.1, 0.2, 0.3]).shape == (3,)
+        for bad in ([0.1, 0.2], np.zeros((3, 2)), 0.5):
+            with pytest.raises(UsageError):
+                points.check(bad)
+
+    @pytest.mark.parametrize(
+        "kernel, bad",
+        [
+            (binning_kernel(4, 2), np.full(5, 0.5)),
+            (midpoint_kernel(4, 2), np.array([2, 1, 1])),
+            (midpoint_kernel(4, 2), np.array([2, 1])),
+            (product_kernel(reconstruction_kernel(2), 3), np.zeros(4, dtype=int)),
+        ],
+        ids=["binning-width", "midpoint-width", "midpoint-total", "product-width"],
+    )
+    def test_kernels_check_their_source(self, kernel, bad):
+        with pytest.raises(UsageError):
+            kernel.sample(bad, 0)
+
+    def test_compose_compares_spaces(self):
+        # cell counts differ only in m: the spaces differ, so the kernels do not compose
+        with pytest.raises(UsageError, match="cannot compose"):
+            compose(midpoint_kernel(8, 4), product_kernel(reconstruction_kernel(2), 8))
+
+
 class TestProductAndCompose:
     def test_identity_product(self):
-        space = unit_interval_space(1)
+        space = Space("unit-interval", 1)
         ident = identity_kernel(space)
         prod = product_kernel(ident, 3)
         xs = np.array([0.1, 0.5, 0.9])
@@ -389,8 +431,8 @@ class TestProductAndCompose:
 
     def test_chain_endpoints(self):
         chain = transport_chain(100, 8)
-        assert chain.source == unit_interval_space(100)
-        assert chain.target == unit_interval_space(100)
+        assert chain.source == Space("unit-interval", 100)
+        assert chain.target == Space("unit-interval", 100)
 
     def test_chain_matches_reconstruction_law(self):
         from lecam.approx import reconstruct
@@ -484,7 +526,7 @@ class TestSynthesizeYstar:
 
 
 def test_markov_kernel_is_frozen():
-    k = identity_kernel(unit_interval_space(1))
+    k = identity_kernel(Space("unit-interval", 1))
     with pytest.raises(AttributeError):
         k.label = "other"
     assert isinstance(k, MarkovKernel)

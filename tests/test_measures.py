@@ -474,6 +474,11 @@ class TestLawValidation:
         with pytest.raises(DomainError):
             DistanceReport(metric="made-up", value=0.0, method="closed_form")
 
+    def test_distance_report_rejects_monte_carlo(self):
+        # no route produces a Monte Carlo distance, so the method is not accepted
+        with pytest.raises(DomainError, match="unknown method"):
+            DistanceReport(metric="tv", value=0.4, method="monte_carlo")
+
     @pytest.mark.parametrize(
         "value, abs_error", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)]
     )
