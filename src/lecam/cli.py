@@ -253,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the seeded verification suite and emit one JSON "
         "line per check. Expected runtime at the default --reps 10000: "
         "a second or two (sufficiency and transport checks draw 1e4 points "
-        "each; the moment checks are vectorized over replications; the "
-        "risk-transfer check runs its replications in fixed-size blocks, "
-        "so its memory does not grow with --reps). The blocks, then the "
-        "other checks, run on one thread pool of at most two workers, sized "
-        "from the CPUs the process may use. Exit 0 iff every check passes.",
+        "each; the y* moment and risk-transfer checks run their replications "
+        "in fixed-size blocks, so memory does not grow with --reps). The risk "
+        "blocks, then the other checks, run on one thread pool of at most two "
+        "workers, sized from the CPUs the process may use. --reps must be at "
+        "least 100. Exit 0 iff every check passes.",
     )
     _add_class_args(v, "cosine:0.3")
     v.add_argument("--seed", type=_seed, required=True)

@@ -52,6 +52,9 @@ __all__ = [
 TEST_LEVEL = 0.001  # pre-registered per-test significance level
 MOMENT_BAND = 4.0   # standard-error band for moment checks
 RISK_BLOCK = 100    # replications per risk-transfer block
+# replications per y*-moment block: at m = 8 its 1.5 MB of bridge paths lifts glibc's
+# trim threshold so warm suites stop refaulting the risk blocks' heap (1,000: ~90k faults)
+YSTAR_BLOCK = 3_000
 
 
 def sig12(x):
@@ -242,48 +245,53 @@ def verify_ystar_moments(
     Verifies E[y*_t], Var[y*_t] = t / (4n), per-cell increment variances
     1 / (4 n m), and zero covariance between disjoint increments, all
     within 4 Monte Carlo standard errors.
+
+    Blocks of ``YSTAR_BLOCK`` replications, block b on substreams
+    ``("increments" | "bridges", "block", b)``, run on ``map_slices`` and
+    return the moments of their rows [y*(ts), cell increments], merged in
+    block order: memory stays flat as ``replications`` grows.
     """
-    R = int(replications)
-    if R < 100:
-        raise UsageError("need at least 100 replications for moment bands")
+    R = _moment_replications(replications)
     g = sqrt_cell_means(f, m)
     sd = 1.0 / (2.0 * math.sqrt(n * m))
     edges = np.arange(1, m + 1, dtype=float) / m
     times = np.union1d(np.asarray(ts, dtype=float), edges)
     U = tent_basis(m).cdf_matrix(times)  # (m, T)
+    t_idx, edge_idx = np.searchsorted(times, ts), np.searchsorted(times, edges)
 
-    ybar = substream(seed, "increments").normal(loc=g, scale=sd, size=(R, m))
-    ystar = ystar_values(ybar, U, n, substream(seed, "bridges"))  # (R, T)
+    def block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
+        size = min(YSTAR_BLOCK, R - b * YSTAR_BLOCK)
+        ybar = substream(seed, "increments", "block", b).normal(loc=g, scale=sd, size=(size, m))
+        ystar = ystar_values(ybar, U, n, substream(seed, "bridges", "block", b))  # (size, T)
+        incs = np.diff(ystar[:, edge_idx], axis=1, prepend=0.0)
+        dev = np.column_stack([ystar[:, t_idx], incs])
+        mean = dev.mean(axis=0)
+        dev -= mean
+        return size, mean, dev.T @ dev
+
+    blocks = map_slices(block, range(-(-R // YSTAR_BLOCK)))
+    _, mean, m2 = functools.reduce(merge_moments, blocks)
+    cov = m2 / (R - 1)
+    var = np.diag(cov)
 
     z_scores: dict[str, float] = {}
-    t_idx = {t: int(np.searchsorted(times, t)) for t in ts}
-    for t in ts:
-        col = ystar[:, t_idx[t]]
-        exp_mean = float(g @ U[:, t_idx[t]])
-        exp_var = t / (4.0 * n)
-        sample_sd = col.std(ddof=1)
-        z_scores[f"mean@t={t:g}"] = (col.mean() - exp_mean) / (sample_sd / math.sqrt(R))
-        z_scores[f"var@t={t:g}"] = (col.var(ddof=1) - exp_var) / (
-            col.var(ddof=1) * math.sqrt(2.0 / (R - 1))
-        )
+    for k, t in enumerate(ts):
+        exp_mean = float(g @ U[:, t_idx[k]])
+        z_scores[f"mean@t={t:g}"] = (mean[k] - exp_mean) / math.sqrt(var[k] / R)
+        z_scores[f"var@t={t:g}"] = (var[k] - t / (4.0 * n)) / (var[k] * math.sqrt(2.0 / (R - 1)))
 
-    edge_idx = [int(np.searchsorted(times, e)) for e in edges]
-    incs = np.diff(np.column_stack([np.zeros(R), ystar[:, edge_idx]]), axis=1)  # (R, m)
     u_edges = np.column_stack([np.zeros(m), U[:, edge_idx]])
     exp_incs = g @ np.diff(u_edges, axis=1)
     var_inc = 1.0 / (4.0 * n * m)
+    inc = len(ts)  # the increments' first column
     for i in range(m):
-        z_scores[f"inc-var@{i + 1}"] = (incs[:, i].var(ddof=1) - var_inc) / (
-            incs[:, i].var(ddof=1) * math.sqrt(2.0 / (R - 1))
-        )
-        z_scores[f"inc-mean@{i + 1}"] = (incs[:, i].mean() - exp_incs[i]) / (
-            incs[:, i].std(ddof=1) / math.sqrt(R)
-        )
-    cov = np.cov(incs.T)
+        v = var[inc + i]
+        z_scores[f"inc-var@{i + 1}"] = (v - var_inc) / (v * math.sqrt(2.0 / (R - 1)))
+        z_scores[f"inc-mean@{i + 1}"] = (mean[inc + i] - exp_incs[i]) / math.sqrt(v / R)
     cov_se = var_inc / math.sqrt(R)
     for i in range(m):
         for j in range(i + 1, m):
-            z_scores[f"inc-cov@{i + 1},{j + 1}"] = cov[i, j] / cov_se
+            z_scores[f"inc-cov@{i + 1},{j + 1}"] = cov[inc + i, inc + j] / cov_se
 
     worst = max(abs(z) for z in z_scores.values())
     return CheckReport(
@@ -298,9 +306,16 @@ def verify_ystar_moments(
     )
 
 
-def merge_moments(a: tuple, b: tuple) -> tuple[int, float, float]:
+def _moment_replications(replications) -> int:
+    if int(replications) < 100:
+        raise UsageError("need at least 100 replications for moment bands")
+    return int(replications)
+
+
+def merge_moments(a: tuple, b: tuple) -> tuple:
     """Chan, Golub & LeVeque's pairwise update of (count, mean, M2) triples.
 
+    For a vector mean, M2 is the matrix of summed deviation products.
     Merging block moments in a fixed order gives the same floats however the
     blocks were scheduled.
     """
@@ -308,7 +323,8 @@ def merge_moments(a: tuple, b: tuple) -> tuple[int, float, float]:
     n_b, mean_b, m2_b = b
     n = n_a + n_b
     delta = mean_b - mean_a
-    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+    outer = np.multiply.outer(delta, delta)
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + outer * n_a * n_b / n
 
 
 def _risk_estimate(moments: tuple) -> RiskEstimate:
@@ -372,9 +388,11 @@ def verify_risk_transfer(
         size = min(RISK_BLOCK, R - b * RISK_BLOCK)
         xs = sample_iid(f, size * n, substream_seq(seed, "target", "block", b))
         target = checked_moments(problem.loss(theta_true, rule(xs.reshape(size, n))))
+        del xs
 
         counts = substream(seed, "source", "block", b).multinomial(n, theta, size=size)
-        cells = np.repeat(np.tile(np.arange(m), size), counts.ravel()).reshape(size, n)
+        cell_ids = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        cells = np.repeat(np.tile(cell_ids, size), counts.ravel()).reshape(size, n)
         ys = tent.sample(cells, substream_seq(seed, "tent", "block", b))
         actions = rule(ys)
         if b == 0 and not np.allclose(actions, rule(ys[:, ::-1])):
@@ -490,6 +508,7 @@ def run_suite(
 ) -> list[CheckReport]:
     """The default verification suite; deterministic given the master seed."""
     f.validate()
+    _moment_replications(replications)  # before any check draws
     # the risk-transfer check, most of the work, runs first on this thread so
     # that its blocks fan out on the slice pool with no check in flight there
     # that could wait on this thread; the other checks follow on the pool, one

@@ -14,6 +14,7 @@ locations as ``knots``, which become cell edges.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -26,23 +27,32 @@ DEFAULT_TOL = 1e-9
 PANEL_CAP = 2**20
 
 
-def _simpson(f: Callable, edges: np.ndarray, p: int, coarse: np.ndarray | None = None):
+def _rule(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only point offsets in [0, 1] and Simpson weights for ``p`` panels."""
+    offs = np.linspace(0.0, 1.0, 2 * p + 1)
+    w = np.ones(2 * p + 1)
+    w[1::2] = 4.0
+    w[2:-1:2] = 2.0
+    offs.flags.writeable = w.flags.writeable = False
+    return offs, w
+
+
+_cached_rule = functools.lru_cache(maxsize=64)(_rule)  # for rules up to 4096 panels
+
+
+def _simpson(f: Callable, edges: np.ndarray, p: int, coarse, widths: np.ndarray):
     """Composite Simpson with ``p`` equal panels on each cell: per-cell values, samples.
 
     Given ``coarse``, the samples at p / 2 panels, only the odd-indexed points
     are evaluated: the even ones are the coarse points bit for bit, since
-    linspace's step halves exactly.
+    linspace's step halves exactly.  ``widths`` is ``np.diff(edges)``.
     """
-    offs = np.linspace(0.0, 1.0, 2 * p + 1)
-    widths = np.diff(edges)
+    offs, w = (_cached_rule if p <= 4096 else _rule)(p)  # larger levels dwarf the rule
     x = edges[:-1, None] + widths[:, None] * (offs if coarse is None else offs[1::2])
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if coarse is not None:
         y, fine = np.empty((len(widths), 2 * p + 1)), y
         y[:, ::2], y[:, 1::2] = coarse, fine
-    w = np.ones(2 * p + 1)
-    w[1::2] = 4.0
-    w[2:-1:2] = 2.0
     return (widths / (6.0 * p)) * (y * w).sum(axis=1), y
 
 
@@ -57,10 +67,11 @@ def _refine(
             f"quadrature would need {2 * p} panels per cell over {cells} cells, "
             f"above {8 * PANEL_CAP}"
         )
-    prev, y = _simpson(f, edges, p)
+    widths = np.diff(edges)
+    prev, y = _simpson(f, edges, p, None, widths)
     while True:
         p *= 2
-        cur, y = _simpson(f, edges, p, y)
+        cur, y = _simpson(f, edges, p, y, widths)
         change = delta(cur, prev)
         if change < tol:
             return cur, change

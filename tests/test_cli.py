@@ -447,12 +447,12 @@ class TestVerify:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    # SHA-256 of stdout for the benchmark's verify runs, recorded when risk
-    # transfer began to draw through the chain's tent stage
+    # SHA-256 of stdout for the benchmark's verify runs, recorded when the
+    # y* moment check began to run in replication blocks
     PINNED = {
-        "--seed 42": "caf980222cade47c9756c2367fd6f47d6c9ea535e487f38a35e2294a9f2c2181",
+        "--seed 42": "93595d963c4f8cf21ea0fb11dae7842211420dc6dd008ca9007fa7b604371362",
         "--seed 7 --negative-control": (
-            "ae350da7835b162b220f81c72b69033125d55d1ecdd4f5c555bb24b77d3d393d"
+            "f61ce769ebcfbdd4c4f60d2a4667b2c29e0d31a4188a1e039e3e7265277f45c2"
         ),
     }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import threading
@@ -10,6 +11,7 @@ from scipy import stats
 
 import lecam.approx
 import lecam.harness
+import lecam.kernels
 
 from lecam.cli import main
 from lecam.densities import cosine, uniform
@@ -18,6 +20,7 @@ from lecam.errors import UsageError
 from lecam.experiments import sample_iid, theta_of
 from lecam.harness import (
     RISK_BLOCK,
+    YSTAR_BLOCK,
     CheckReport,
     DecisionProblem,
     merge_moments,
@@ -140,6 +143,71 @@ class TestYstarMoments:
     def test_replication_floor(self):
         with pytest.raises(UsageError):
             verify_ystar_moments(COSINE, n=25, m=4, replications=10, seed=0)
+
+
+class TestYstarMomentBlocks:
+    R = 2 * YSTAR_BLOCK + 345  # the last block is short
+
+    def test_vector_merge_matches_numpy_moments(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(self.R, 5)) @ rng.normal(size=(5, 5)) + 3.0
+        moments = []
+        for i in range(0, self.R, YSTAR_BLOCK):
+            block = rows[i : i + YSTAR_BLOCK]
+            dev = block - block.mean(axis=0)
+            moments.append((len(block), block.mean(axis=0), dev.T @ dev))
+        count, mean, m2 = functools.reduce(merge_moments, moments)
+        assert count == self.R
+        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m2 / (count - 1), np.cov(rows.T), rtol=0, atol=1e-12)
+
+    def test_report_is_the_moments_of_every_replication(self, monkeypatch):
+        # a one-worker pool runs the blocks inline, so paths append in block order
+        slice_pool(monkeypatch, 1)
+        seen = []
+
+        def spy(*args):
+            seen.append(lecam.kernels.ystar_values(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lecam.harness, "ystar_values", spy)
+        report = verify_ystar_moments(COSINE, n=100, m=4, replications=self.R, seed=9)
+        assert len(seen) == 3
+        ystar = np.concatenate(seen)  # times 0.25, 0.5, 0.75, 1: the cell edges at m = 4
+        incs = np.diff(ystar, axis=1, prepend=0.0)
+        z = report.details["z_scores"]
+        col = ystar[:, 1]
+        want = (col.var(ddof=1) - 0.5 / 400) / (col.var(ddof=1) * math.sqrt(2 / (self.R - 1)))
+        assert z["var@t=0.5"] == pytest.approx(want, rel=1e-9)
+        cov_se = 1 / (4 * 100 * 4) / math.sqrt(self.R)
+        assert z["inc-cov@1,3"] == pytest.approx(np.cov(incs.T)[0, 2] / cov_se, rel=1e-9)
+
+    def test_pool_map_gives_the_serial_report(self, monkeypatch):
+        def report():
+            return verify_ystar_moments(COSINE, n=100, m=8, replications=self.R, seed=5)
+
+        serial, *pooled = under_pools(monkeypatch, report)
+        assert pooled == [serial, serial]
+
+    def test_memory_does_not_grow_with_replications(self, monkeypatch):
+        # both sizes fan out on two workers: more than two blocks, three in flight
+        pool = slice_pool(monkeypatch, 2)
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                verify_ystar_moments(
+                    COSINE, n=100, m=8, replications=blocks * YSTAR_BLOCK, seed=2
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        try:
+            small, large = peak(3), peak(12)
+        finally:
+            pool.shutdown()
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestRiskTransfer:
@@ -354,6 +422,15 @@ class TestSuite:
         failing = [r for r in reports if not r.passed]
         assert len(failing) == 2
         assert all(r.details.get("negative_control") for r in failing)
+
+    def test_too_few_replications_exit_2_before_any_draw(self, monkeypatch, capsys):
+        # the y* checks need 100 replications; the risk check, which runs
+        # first, must not draw before the suite refuses
+        drawn = []
+        monkeypatch.setattr(lecam.harness, "sample_iid", lambda *args: drawn.append(args))
+        assert main(["verify", "--seed", "1", "--reps", "99"]) == 2
+        assert "need at least 100 replications" in capsys.readouterr().err
+        assert drawn == []
 
     def test_parallel_guard(self, capsys):
         for degree in ("0", "-1"):
