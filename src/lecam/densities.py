@@ -54,36 +54,28 @@ def cosine(coeffs, gamma: float = 1.0) -> DensityModel:
         return uniform()
     k = np.arange(1, a.size + 1, dtype=float)
 
-    def pdf(x):
+    def series(x, start, coef, wave):
+        """start(x) + sum_k coef_k wave(2 pi k x), skipping zero coefficients."""
         x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
+        out = start(x)
         term = np.empty_like(out)
-        for kk, ak in zip(k, a):
-            if ak == 0.0:
+        for kk, c in zip(k, coef):
+            if c == 0.0:
                 continue
             np.multiply(_TWO_PI * kk, x, out=term)
-            np.cos(term, out=term)
-            term *= ak
+            wave(term, out=term)
+            term *= c
             out += term
         return out
 
+    def pdf(x):
+        return series(x, np.ones_like, a, np.cos)
+
     def deriv(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for kk, ak in zip(k, a):
-            if ak == 0.0:
-                continue
-            out -= ak * _TWO_PI * kk * np.sin(_TWO_PI * kk * x)
-        return out
+        return series(x, np.zeros_like, -(a * _TWO_PI * k), np.sin)
 
     def primitive(x):
-        x = np.asarray(x, dtype=float)
-        out = x.astype(float, copy=True)
-        for kk, ak in zip(k, a):
-            if ak == 0.0:
-                continue
-            out += ak / (_TWO_PI * kk) * np.sin(_TWO_PI * kk * x)
-        return out
+        return series(x, np.copy, a / (_TWO_PI * k), np.sin)
 
     last = int(np.nonzero(a)[0].max()) + 1
     return DensityModel(

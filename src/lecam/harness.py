@@ -34,7 +34,6 @@ from .rng import substream, substream_seq
 
 __all__ = [
     "CheckReport",
-    "RiskEstimate",
     "DecisionProblem",
     "SweepResult",
     "TEST_LEVEL",
@@ -96,15 +95,6 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
-class RiskEstimate:
-    """Monte Carlo risk with its standard error."""
-
-    value: float
-    std_error: float
-    replications: int
-
-
-@dataclass(frozen=True)
 class DecisionProblem:
     """A bounded-loss decision problem about a functional of the density.
 
@@ -112,7 +102,6 @@ class DecisionProblem:
     the estimand from the density.
     """
 
-    action_space: str
     loss: Callable
     target: Callable
 
@@ -126,7 +115,7 @@ def theta1_problem(m: int) -> DecisionProblem:
     def target(f: DensityModel) -> float:
         return float(theta_of(f, m).theta[0])
 
-    return DecisionProblem(action_space="theta1-estimate", loss=loss, target=target)
+    return DecisionProblem(loss=loss, target=target)
 
 
 def _merge_small_cells(table: np.ndarray, min_expected: float = 5.0):
@@ -247,9 +236,9 @@ def verify_ystar_moments(
     within 4 Monte Carlo standard errors.
 
     Blocks of ``YSTAR_BLOCK`` replications, block b on substreams
-    ``("increments" | "bridges", "block", b)``, run on ``map_slices`` and
-    return the moments of their rows [y*(ts), cell increments], merged in
-    block order: memory stays flat as ``replications`` grows.
+    ``("increments" | "bridges", "block", b)``, return their rows
+    [y*(ts), cell increments] to ``_blocked_moments``, the risk check's block
+    path too: memory stays flat as ``replications`` grows.
     """
     R = _moment_replications(replications)
     g = sqrt_cell_means(f, m)
@@ -259,18 +248,13 @@ def verify_ystar_moments(
     U = tent_basis(m).cdf_matrix(times)  # (m, T)
     t_idx, edge_idx = np.searchsorted(times, ts), np.searchsorted(times, edges)
 
-    def block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
-        size = min(YSTAR_BLOCK, R - b * YSTAR_BLOCK)
+    def block(b: int, size: int) -> np.ndarray:
         ybar = substream(seed, "increments", "block", b).normal(loc=g, scale=sd, size=(size, m))
         ystar = ystar_values(ybar, U, n, substream(seed, "bridges", "block", b))  # (size, T)
         incs = np.diff(ystar[:, edge_idx], axis=1, prepend=0.0)
-        dev = np.column_stack([ystar[:, t_idx], incs])
-        mean = dev.mean(axis=0)
-        dev -= mean
-        return size, mean, dev.T @ dev
+        return np.column_stack([ystar[:, t_idx], incs])
 
-    blocks = map_slices(block, range(-(-R // YSTAR_BLOCK)))
-    _, mean, m2 = functools.reduce(merge_moments, blocks)
+    _, mean, m2 = _blocked_moments(block, R, YSTAR_BLOCK)
     cov = m2 / (R - 1)
     var = np.diag(cov)
 
@@ -327,9 +311,21 @@ def merge_moments(a: tuple, b: tuple) -> tuple:
     return n, mean_a + delta * n_b / n, m2_a + m2_b + outer * n_a * n_b / n
 
 
-def _risk_estimate(moments: tuple) -> RiskEstimate:
-    count, mean, m2 = moments
-    return RiskEstimate(mean, math.sqrt(m2 / (count - 1) / count), count)
+def _moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean vector, co-moment matrix) of a 2-d block; centres it in place."""
+    mean = rows.mean(axis=0)
+    rows -= mean
+    return len(rows), mean, rows.T @ rows
+
+
+def _blocked_moments(block: Callable, R: int, size: int) -> tuple:
+    """Moments of R rows drawn as ``block(b, min(size, R - b * size))`` on
+    ``map_slices``, merged in block order: the same floats however many run."""
+
+    def moments(b: int) -> tuple:
+        return _moments(block(b, min(size, R - b * size)))
+
+    return functools.reduce(merge_moments, map_slices(moments, range(-(-R // size))))
 
 
 def verify_risk_transfer(
@@ -359,10 +355,10 @@ def verify_risk_transfer(
     wrong risk.  The first block compares the rule on its rows and on the
     reversed rows and raises ``UsageError`` if they differ.
 
-    Replications run in blocks of ``RISK_BLOCK``, each on its own named
-    substreams, so memory stays flat as ``replications`` grows.  The blocks
-    run through ``experiments.map_slices`` and their loss moments merge in
-    block order, so the report does not depend on how many run at once.
+    Replications run in blocks of ``RISK_BLOCK`` on their own named
+    substreams; block b returns its (size, 2) losses [target, source] to
+    ``_blocked_moments``, as the y* check's blocks do.  The risks are the
+    merged means, their SEs sqrt(diag(M2) / (R - 1) / R).
     """
     R = int(replications)
     if R < 2:
@@ -377,17 +373,9 @@ def verify_risk_transfer(
         def rule(rows: np.ndarray) -> np.ndarray:
             return (rows <= cell_edge).mean(axis=1)
 
-    def checked_moments(losses: np.ndarray) -> tuple[int, float, float]:
-        """(count, mean, M2) of one block's losses, M2 = sum of squared deviations."""
-        if not (losses.min() >= 0.0 and losses.max() <= 1.0):
-            raise DomainError("loss values fell outside [0, 1]")
-        mean = float(losses.mean())
-        return losses.size, mean, float(((losses - mean) ** 2).sum())
-
-    def block(b: int) -> tuple[tuple, tuple]:
-        size = min(RISK_BLOCK, R - b * RISK_BLOCK)
+    def block(b: int, size: int) -> np.ndarray:
         xs = sample_iid(f, size * n, substream_seq(seed, "target", "block", b))
-        target = checked_moments(problem.loss(theta_true, rule(xs.reshape(size, n))))
+        target = problem.loss(theta_true, rule(xs.reshape(size, n)))
         del xs
 
         counts = substream(seed, "source", "block", b).multinomial(n, theta, size=size)
@@ -397,28 +385,28 @@ def verify_risk_transfer(
         actions = rule(ys)
         if b == 0 and not np.allclose(actions, rule(ys[:, ::-1])):
             raise UsageError("rule reads the order of its samples; it must be symmetric")
-        source = checked_moments(problem.loss(theta_true, actions))
-        return target, source
+        # column-major, so each column's mean is a contiguous (pairwise) sum, not row by row
+        losses = np.array([target, problem.loss(theta_true, actions)], dtype=float).T
+        if not (losses.min() >= 0.0 and losses.max() <= 1.0):
+            raise DomainError("loss values fell outside [0, 1]")
+        return losses
 
-    blocks = list(map_slices(block, range(-(-R // RISK_BLOCK))))
-    risk_t = _risk_estimate(functools.reduce(merge_moments, (t for t, _ in blocks)))
-    risk_s = _risk_estimate(functools.reduce(merge_moments, (s for _, s in blocks)))
+    _, (risk_t, risk_s), m2 = _blocked_moments(block, R, RISK_BLOCK)
+    se_t, se_s = np.sqrt(np.diag(m2) / (R - 1) / R)
 
     h_sq = hellinger_sq(f, m)
     tv_budget = tv_sandwich(hellinger_sq_product([h_sq] * n))[1]
-    gap = abs(risk_s.value - risk_t.value)
-    allowance = tv_budget + MOMENT_BAND * math.hypot(
-        risk_t.std_error, risk_s.std_error
-    )
+    gap = abs(risk_s - risk_t)
+    allowance = tv_budget + MOMENT_BAND * math.hypot(se_t, se_s)
     return CheckReport(
         name=f"risk-transfer[{f.name},n={n},m={m},reps={R}]",
         passed=bool(gap <= allowance),
         statistic=float(gap),
         details={
-            "risk_target": risk_t.value,
-            "risk_target_se": risk_t.std_error,
-            "risk_source": risk_s.value,
-            "risk_source_se": risk_s.std_error,
+            "risk_target": risk_t,
+            "risk_target_se": se_t,
+            "risk_source": risk_s,
+            "risk_source_se": se_s,
             "tv_budget": tv_budget,
             "allowance": allowance,
             "theta1": theta_true,

@@ -82,6 +82,8 @@ class DensityModel:
         """Check the class invariants on a dense grid; raise DomainError."""
         x = np.linspace(0.0, 1.0, grid_points)
         fx = np.asarray(self.pdf(x), dtype=float)
+        if not np.isfinite(fx).all():
+            raise DomainError(f"{self.name}: density not finite at x={x[~np.isfinite(fx)][0]:.6g}")
         if fx.min() < self.eps - tol:
             raise DomainError(
                 f"{self.name}: min density {fx.min():.6g} below eps={self.eps}"
@@ -100,7 +102,7 @@ class DensityModel:
             gap = np.abs(d[stride:] - d[:-stride])
             dist = x[stride:] - x[:-stride]
             bound = self.K * dist**self.gamma + self.K * fd_slack + tol
-            if np.any(gap > bound):
+            if not np.all(gap <= bound):  # a NaN derivative fails here too
                 k = int(np.argmax(gap - bound))
                 raise DomainError(
                     f"{self.name}: Hoelder violation |f'({x[k + stride]:.4f})"
@@ -131,9 +133,11 @@ class DiscreteLaw:
     atoms: tuple
 
     def __post_init__(self):
-        masses = np.asarray([m for _, m in self.atoms], dtype=float)
+        masses = self.masses
         if masses.size == 0:
             raise DomainError("a discrete law needs at least one atom")
+        if not (np.isfinite(masses).all() and np.isfinite(self.points).all()):
+            raise DomainError("atom points and masses must be finite")
         if masses.min() < -1e-15:
             raise DomainError(f"negative mass {masses.min():g}")
         if abs(masses.sum() - 1.0) > 1e-12:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 import lecam.approx
 import lecam.cli
+import lecam.densities
 import lecam.harness
 import lecam.kernels
 import lecam.measures
@@ -418,6 +420,19 @@ class TestVerify:
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 8
         assert all(json.loads(line)["passed"] for line in lines)
+
+    def test_non_finite_density_exits_2(self, monkeypatch, capsys):
+        # NaN on [0.4, 0.41] fails no bound comparison; unless validation rejects
+        # it, the quadrature refines to its panel cap and exits 3
+        def nan_band(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x >= 0.4) & (x <= 0.41), np.nan, 1.0)
+
+        bad = dataclasses.replace(lecam.densities.uniform(), pdf=nan_band)
+        monkeypatch.setattr(lecam.cli, "parse_spec", lambda *a, **k: bad)
+        code, out, err = run(["verify", "--seed", "1", "--reps", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert "not finite" in err
 
     def test_negative_control_exits_nonzero(self, tmp_path, capsys):
         out_path = tmp_path / "neg.jsonl"

@@ -42,6 +42,19 @@ def test_cosine_pdf_sums_terms_in_order():
         assert cosine(a).pdf(x).tobytes() == want.tobytes()
 
 
+def test_cosine_deriv_and_primitive_sum_terms_in_order():
+    # f' = -sum_k a_k 2 pi k sin(2 pi k x) and F = x + sum_k a_k / (2 pi k) sin(2 pi k x),
+    # term by term; a zero coefficient contributes nothing
+    a = [0.2, 0.0, -0.1, 0.05]
+    for x in (GRID, np.asarray(0.3)):
+        deriv, prim = np.zeros_like(x), x.copy()
+        for k, ak in enumerate(a, start=1):
+            deriv -= ak * (2.0 * np.pi) * k * np.sin(2.0 * np.pi * k * x)
+            prim += ak / (2.0 * np.pi * k) * np.sin(2.0 * np.pi * k * x)
+        assert cosine(a).deriv(x).tobytes() == deriv.tobytes()
+        assert cosine(a).primitive(x).tobytes() == prim.tobytes()
+
+
 def test_cosine_rejects_empty():
     with pytest.raises(DomainError):
         cosine([])
@@ -111,6 +124,24 @@ def test_validate_catches_bad_normalization():
         uniform(), pdf=lambda x: np.full_like(np.asarray(x, dtype=float), 1.05), M=1.1
     )
     with pytest.raises(DomainError):
+        bad.validate()
+
+
+def _nan_on_band(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= 0.4) & (x <= 0.41), np.nan, 0.0)
+
+
+def test_validate_rejects_a_non_finite_pdf():
+    # every comparison with NaN is false, so the bound checks let it through
+    bad = dataclasses.replace(uniform(), pdf=lambda x: 1.0 + _nan_on_band(x))
+    with pytest.raises(DomainError, match="density not finite at x=0.4"):
+        bad.validate()
+
+
+def test_validate_rejects_a_non_finite_derivative():
+    bad = dataclasses.replace(uniform(), deriv=_nan_on_band)
+    with pytest.raises(DomainError, match="Hoelder"):
         bad.validate()
 
 

@@ -317,7 +317,7 @@ class TestRiskTransferBlocks:
             seen.append(out)
             return out
 
-        problem = DecisionProblem(base.action_space, loss, base.target)
+        problem = DecisionProblem(loss, base.target)
         report = verify_risk_transfer(
             problem, COSINE, n=200, m=8, replications=self.R, seed=4
         )

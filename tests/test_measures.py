@@ -465,6 +465,23 @@ class TestLawValidation:
         with pytest.raises(DomainError):
             DiscreteLaw(((0.0, 0.5), (0.0, 0.5)))
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            ((0.0, math.nan), (1.0, 1.0)),
+            ((0.0, 0.5), (1.0, math.inf)),
+            ((math.nan, 0.5), (math.nan, 0.5)),
+            ((math.nan, 0.5), (1.0, 0.5)),
+            ((math.inf, 0.5), (0.0, 0.5)),
+            ((-math.inf, 0.5), (0.0, 0.5)),
+        ],
+    )
+    def test_discrete_law_atoms_are_finite(self, atoms):
+        # a NaN mass fails no sign or sum comparison, and two NaN points are
+        # distinct to the duplicate check (NaN != NaN)
+        with pytest.raises(DomainError, match="finite"):
+            DiscreteLaw(atoms)
+
     def test_distance_report_invariants(self):
         DistanceReport(metric="tv", value=0.4, method="closed_form")
         with pytest.raises(DomainError):
