@@ -10,10 +10,9 @@ advertised identities and rates at desk scale.
 
 from .approx import ErrorBreakdown, hellinger_bound, reconstruct
 from .densities import affine, cosine, parse_spec, uniform
-from .equivalence import ChainBound, RateParams, choose_m, total_bound
+from .equivalence import RateParams, choose_m, total_bound_curve
 from .errors import DomainError, NumericalError, UsageError
 from .experiments import (
-    ThetaVector,
     Trajectory,
     increments,
     sample_iid,

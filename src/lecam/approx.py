@@ -41,7 +41,7 @@ def reconstruct(f: DensityModel, m: int) -> PiecewiseLinearDensity:
 
     The midpoint law puts mass theta_j on cell index j - 1, its label for x_j*.
     """
-    midpoint_law = DiscreteLaw(tuple(enumerate(theta_of(f, m).theta)))
+    midpoint_law = DiscreteLaw(tuple(enumerate(theta_of(f, m))))
     return reconstruction_kernel(m).pushforward_density(midpoint_law)
 
 

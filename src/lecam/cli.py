@@ -140,7 +140,7 @@ def cmd_sweep(args) -> int:
         grid = [int(v) for v in args.n_grid.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad n grid {args.n_grid!r}") from None
-    result = rate_sweep(model, args.gamma, grid, seed=args.seed)
+    result = rate_sweep(model, args.gamma, grid)
     if args.format == "csv":
         lines = ["n,m,measured,bound,ratio"]
         for rec in result.to_records():
@@ -243,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="rate sweep along the bin tuning rule")
     _add_class_args(s, "cosine:0.3")
     s.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    s.add_argument("--seed", type=_seed, required=True)
+    s.add_argument(
+        "--seed", type=_seed, required=True,
+        help="accepted for old command lines; a sweep is pure quadrature, so it "
+        "changes nothing",
+    )
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default="-")
 

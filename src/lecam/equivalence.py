@@ -18,12 +18,10 @@ from .errors import DomainError
 
 __all__ = [
     "RateParams",
-    "ChainBound",
     "bound_density_reconstruction",
     "bound_carter_multinomial",
     "bound_carter_independent",
     "choose_m",
-    "total_bound",
     "total_bound_curve",
     "minimize_total",
 ]
@@ -39,46 +37,14 @@ class RateParams:
     C_R: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.m < 2:
+        if not self.m >= 2:
             raise DomainError(f"m must be >= 2, got {self.m}")
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.C_R <= 0.0:
-            raise DomainError(f"C_R must be positive, got {self.C_R}")
-
-
-@dataclass(frozen=True)
-class ChainBound:
-    """Per-link distance bounds through the chain, plus their sum.
-
-    The exact-sufficiency direction (i.i.d. density -> multinomial) costs
-    nothing; the stated density<->multinomial link is the reconstruction
-    cost of the reverse direction.
-    """
-
-    density_multinomial: float
-    multinomial_gaussian: float
-    coords_increments: float
-    increments_white_noise: float
-
-    def __post_init__(self):
-        for name, v in self.links().items():
-            if v < 0.0:
-                raise DomainError(f"negative link bound {name}={v:g}")
-
-    def links(self) -> dict[str, float]:
-        return {
-            "density_multinomial": self.density_multinomial,
-            "multinomial_gaussian": self.multinomial_gaussian,
-            "coords_increments": self.coords_increments,
-            "increments_white_noise": self.increments_white_noise,
-        }
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.links().values()))
+        if not 0.0 < self.C_R < math.inf:
+            raise DomainError(f"C_R must be positive and finite, got {self.C_R}")
 
 
 _MINIMIZE_WINDOW = 64  # minimize_total scans at most this many bin counts
@@ -97,17 +63,6 @@ def _carter_mn(n, m, C_R):
 
 def _carter_independent_mn(n, m, C_R):
     return C_R * np.asarray(m, dtype=float) / math.sqrt(n)
-
-
-def _links(n, m, gamma, C_R) -> dict:
-    """ChainBound's four links, vectorized over the bin count m."""
-    reconstruction = _rate_mn(n, m, gamma)
-    return {
-        "density_multinomial": reconstruction,
-        "multinomial_gaussian": _carter_mn(n, m, C_R) + _carter_independent_mn(n, m, C_R),
-        "coords_increments": reconstruction,
-        "increments_white_noise": reconstruction,
-    }
 
 
 def bound_density_reconstruction(p: RateParams) -> float:
@@ -135,28 +90,20 @@ def choose_m(n: int, gamma: float) -> int:
     return max(2, int(math.floor(n ** (1.0 / (2.0 + gamma)) + 1e-9)))
 
 
-def total_bound(
-    n: int, gamma: float, C_R: float = 1.0, m: int | None = None
-) -> ChainBound:
-    """All chain links evaluated at m (default: the tuning rule choose_m)."""
-    m = choose_m(n, gamma) if m is None else m
-    p = RateParams(n=n, m=m, gamma=gamma, C_R=C_R)
-    links = _links(p.n, p.m, p.gamma, p.C_R)
-    return ChainBound(**{name: float(v) for name, v in links.items()})
-
-
 def total_bound_curve(n: int, gamma: float, C_R: float, m_values) -> np.ndarray:
-    """Vectorized chain totals over an array of bin counts.
+    """Chain totals over an array of bin counts, the links summed in chain order.
 
-    Sums the links in ``ChainBound``'s order, so each entry equals
-    ``total_bound(n, gamma, C_R, m).total`` bit for bit.
+    The links are density -> multinomial (the reconstruction rate; the
+    exact-sufficiency direction costs nothing), multinomial -> Gaussian
+    (Carter's two terms), then coordinates -> increments and increments ->
+    white noise (the reconstruction rate again).  n, gamma, C_R and the
+    smallest bin count are checked as in ``RateParams``.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     m = np.asarray(m_values, dtype=float)
-    if m.size and m.min() < 2:
-        raise DomainError("bin counts must be >= 2")
-    return sum(_links(n, m, gamma, C_R).values())
+    RateParams(n=n, m=m.min() if m.size else 2, gamma=gamma, C_R=C_R)
+    reconstruction = _rate_mn(n, m, gamma)
+    carter = _carter_mn(n, m, C_R) + _carter_independent_mn(n, m, C_R)
+    return reconstruction + carter + reconstruction + reconstruction
 
 
 def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:
@@ -170,7 +117,7 @@ def minimize_total(n: int, gamma: float, C_R: float = 1.0) -> tuple[int, float]:
     ``_MINIMIZE_WINDOW`` points absorbs rounding near the flat bottom.
     Every total comes from ``total_bound_curve``, so the result equals a
     full-grid argmin bit for bit, with O(log n) evaluations and memory.
-    An n below 1 raises ``DomainError`` there, as in ``RateParams``.
+    Out-of-range n, gamma or C_R raise ``DomainError`` there.
     """
     lo, hi = 2, max(n, 2)
     while hi - lo >= _MINIMIZE_WINDOW:

@@ -24,7 +24,6 @@ from .quadrature import cell_integrals
 from .rng import substream
 
 __all__ = [
-    "ThetaVector",
     "Trajectory",
     "theta_of",
     "sqrt_cell_means",
@@ -88,23 +87,6 @@ def stream_at(state: dict, offset: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ThetaVector:
-    """Cell probabilities theta_i = int_{J_i} f for one density and bin count."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", th)
-        if th.ndim != 1 or th.size < 1:
-            raise DomainError("theta must be a 1-d probability vector")
-        if th.min() < 0.0:
-            raise DomainError(f"negative cell probability {th.min():g}")
-        if abs(th.sum() - 1.0) > 1e-10:
-            raise DomainError(f"theta sums to {th.sum():.15g}, not 1")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A process observed on a uniform time grid starting at (0, 0)."""
 
@@ -118,6 +100,8 @@ class Trajectory:
         object.__setattr__(self, "values", y)
         if t.shape != y.shape or t.ndim != 1 or t.size < 2:
             raise UsageError("times and values must be matching 1-d arrays")
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise DomainError("trajectory times and values must be finite")
         if t[0] != 0.0:
             raise UsageError("trajectories start at time 0")
         steps = np.diff(t)
@@ -129,8 +113,12 @@ class Trajectory:
         return self.times.size - 1
 
 
-def theta_of(f: DensityModel, m: int) -> ThetaVector:
-    """Cell probabilities by quadrature over J_i = [(i-1)/m, i/m]."""
+def theta_of(f: DensityModel, m: int) -> np.ndarray:
+    """Cell probabilities by quadrature over J_i = [(i-1)/m, i/m].
+
+    They must sum to 1 within 1e-10 and lie in [eps/m, M/m] (never below 0),
+    else ``DomainError``.
+    """
     if m < 2:
         raise UsageError(f"m must be >= 2, got {m}")
     edges = np.arange(m + 1, dtype=float) / m
@@ -138,14 +126,15 @@ def theta_of(f: DensityModel, m: int) -> ThetaVector:
         theta = cell_integrals(f.pdf, edges, tol=1e-13)
     except NumericalError as exc:
         raise NumericalError(f"theta quadrature failed for {f.name}: {exc}") from exc
-    tv = ThetaVector(theta=theta)
+    if not abs(theta.sum() - 1.0) <= 1e-10:
+        raise DomainError(f"{f.name}: theta sums to {theta.sum():.15g}, not 1")
     slack = 1e-9
-    if theta.min() < f.eps / m - slack or theta.max() > f.M / m + slack:
+    if theta.min() < max(f.eps / m - slack, 0.0) or theta.max() > f.M / m + slack:
         raise DomainError(
             f"{f.name}: cell mass outside [eps/m, M/m] "
             f"(range [{theta.min():g}, {theta.max():g}], m={m})"
         )
-    return tv
+    return theta
 
 
 def sqrt_cell_means(f: DensityModel, m: int) -> np.ndarray:

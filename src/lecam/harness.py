@@ -113,7 +113,7 @@ def theta1_problem(m: int) -> DecisionProblem:
         return np.clip((np.asarray(actions, dtype=float) - true_value) ** 2, 0.0, 1.0)
 
     def target(f: DensityModel) -> float:
-        return float(theta_of(f, m).theta[0])
+        return float(theta_of(f, m)[0])
 
     return DecisionProblem(loss=loss, target=target)
 
@@ -139,43 +139,31 @@ def verify_sufficiency(
     f: DensityModel,
     n: int,
     m: int,
-    replications: int = 1,
     seed=0,
     theta_override=None,
     level: float = TEST_LEVEL,
 ) -> CheckReport:
     """Chi-square homogeneity of binned i.i.d. draws vs. multinomial draws.
 
-    Pooling ``replications`` runs of size n on each route, the two count
-    vectors should be samples of the same multinomial law; a mismatched
-    ``theta_override`` serves as the negative control.
+    The two count vectors, each from n points, should be samples of the
+    same multinomial law; a mismatched ``theta_override`` serves as the
+    negative control.
     """
-    if m < 1:
-        raise UsageError("m must be >= 1")
-    total_n = n * replications
-    if m == 1:
-        return CheckReport(
-            name=f"sufficiency[{f.name},m=1,n={total_n}]",
-            passed=True,
-            statistic=0.0,
-            p_value=1.0,
-            details={"note": "single cell: both routes are deterministic"},
-        )
-    theta = (
-        theta_of(f, m).theta if theta_override is None else np.asarray(theta_override)
-    )
-    counts_binned = bin_counts(sample_iid(f, total_n, substream_seq(seed, "iid")), m)
-    counts_direct = substream(seed, "multinomial").multinomial(total_n, theta)
+    if m < 2:
+        raise UsageError(f"sufficiency test needs m >= 2 cells, got {m}")
+    theta = theta_of(f, m) if theta_override is None else np.asarray(theta_override)
+    counts_binned = bin_counts(sample_iid(f, n, substream_seq(seed, "iid")), m)
+    counts_direct = substream(seed, "multinomial").multinomial(n, theta)
     table = np.vstack([counts_binned, counts_direct])
     table, merged = _merge_small_cells(table)
     if table.shape[1] == 1:
         raise UsageError(
-            f"sufficiency test at n={total_n}, m={m}: merging cells to expected "
+            f"sufficiency test at n={n}, m={m}: merging cells to expected "
             "counts of 5 left a single cell, so there is nothing to test"
         )
     stat, p, dof, _ = stats.chi2_contingency(table, correction=False)
     return CheckReport(
-        name=f"sufficiency[{f.name},m={m},n={total_n}]",
+        name=f"sufficiency[{f.name},m={m},n={n}]",
         passed=bool(p >= level),
         statistic=float(stat),
         p_value=float(p),
@@ -363,7 +351,7 @@ def verify_risk_transfer(
     R = int(replications)
     if R < 2:
         raise UsageError("need at least 2 replications for a standard error")
-    theta = theta_of(f, m).theta
+    theta = theta_of(f, m)
     theta_true = problem.target(f)
     tent = transport_chain(n, m).stages[-1]
     cell_edge = 1.0 / m
@@ -438,13 +426,11 @@ class SweepResult:
         return out
 
 
-def rate_sweep(f: DensityModel, gamma: float, n_grid, seed=0) -> SweepResult:
+def rate_sweep(f: DensityModel, gamma: float, n_grid) -> SweepResult:
     """sqrt(n) H(f, f_hat_m) along the tuning rule, next to the link bound.
 
-    Deterministic (pure quadrature); the seed is accepted for interface
-    uniformity with the other verifiers.
+    Deterministic (pure quadrature): it draws nothing.
     """
-    del seed
     ns = sorted(int(n) for n in n_grid)
     if len(ns) < 4:
         raise UsageError("rate sweeps need at least 4 grid points")
@@ -541,7 +527,7 @@ def run_suite(
                 n=10_000,
                 m=8,
                 seed=substream_seq(seed, "neg-sufficiency"),
-                theta_override=_perturbed_theta(theta_of(f, 8).theta),
+                theta_override=_perturbed_theta(theta_of(f, 8)),
             )
         )
         jobs.append(

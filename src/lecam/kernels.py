@@ -276,9 +276,8 @@ def product_kernel(kernel: MarkovKernel, n: int) -> MarkovKernel:
     """The i.i.d. power kernel^n: n coordinates with independent randomness.
 
     ``kernel`` must act elementwise on arrays, so the last axis of n
-    coordinates is sampled in one call from a single derived stream.  The
-    pushforward of a product law is the product of the component
-    pushforwards.
+    coordinates is sampled in one call from a single derived stream.  For
+    n > 1 it carries no pushforward.
     """
     if n < 1:
         raise UsageError("product of zero kernels")
@@ -289,25 +288,16 @@ def product_kernel(kernel: MarkovKernel, n: int) -> MarkovKernel:
     def sample(xs, seed):
         return kernel.sample(source.check(xs), substream_seq(seed, "coords"))
 
-    pushforward = None
-    if kernel.pushforward_density is not None:
-
-        def pushforward(laws):
-            if len(laws) != n:
-                raise UsageError(f"expected {n} component laws")
-            return [kernel.pushforward_density(law) for law in laws]
-
     return MarkovKernel(
         source=source,
         target=replace(kernel.target, coordinates=n * kernel.target.coordinates),
         sample=sample,
-        pushforward_density=pushforward,
         label=f"product[{n}]",
     )
 
 
 def compose(k1: MarkovKernel, k2: MarkovKernel) -> MarkovKernel:
-    """k2 after k1, with an independent seed per flattened stage.
+    """k2 after k1, with an independent seed per flattened stage; no pushforward.
 
     The composite's ``sample(x, seed, start=k)`` enters at stage k on the
     same seed path, so a caller holding stage k's input gets exactly the
@@ -324,19 +314,10 @@ def compose(k1: MarkovKernel, k2: MarkovKernel) -> MarkovKernel:
             x = stages[i].sample(x, substream_seq(seed, "stage", i))
         return x
 
-    pushforward = None
-    if all(s.pushforward_density is not None for s in stages):
-
-        def pushforward(law):
-            for stage in stages:
-                law = stage.pushforward_density(law)
-            return law
-
     return MarkovKernel(
         source=k1.source,
         target=k2.target,
         sample=sample,
-        pushforward_density=pushforward,
         label=";".join(s.label or "k" for s in stages),
         stages=stages,
     )
@@ -372,8 +353,8 @@ def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
     once; only the two-operation recurrence runs point by point.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.size and (u.min() < -1e-12 or u.max() > 1.0 + 1e-12):
-        raise DomainError("bridge times must lie in [0, 1]")
+    if u.size and not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):
+        raise DomainError("bridge times must be finite and lie in [0, 1]")
     if np.any(np.diff(u, axis=1) < -1e-12):
         raise UsageError("bridge times must be nondecreasing along rows")
     bridges, points = u.shape

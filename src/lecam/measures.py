@@ -329,8 +329,8 @@ def hellinger_sq_product(components: Sequence[float]) -> float:
     product rule is H^2 = 2 [1 - prod_j (1 - H_j^2 / 2)].
     """
     comps = np.asarray(components, dtype=float)
-    if comps.size and (comps.min() < -1e-12 or comps.max() > 2.0 + 1e-12):
-        raise DomainError("component H^2 values must lie in [0, 2]")
+    if comps.size and not (comps.min() >= -1e-12 and comps.max() <= 2.0 + 1e-12):
+        raise DomainError("component H^2 values must be finite and lie in [0, 2]")
     # log-space product keeps n ~ 1e4 identical factors accurate
     one_minus = np.clip(1.0 - comps / 2.0, 0.0, 1.0)
     if np.any(one_minus == 0.0):

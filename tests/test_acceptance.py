@@ -13,7 +13,7 @@ import numpy as np
 from lecam.approx import l2_error_sq, remainder_sup
 from lecam.cli import main
 from lecam.densities import cosine, uniform
-from lecam.equivalence import minimize_total, total_bound
+from lecam.equivalence import choose_m, minimize_total, total_bound_curve
 from lecam.experiments import theta_of
 from lecam.harness import (
     theta1_problem,
@@ -201,7 +201,7 @@ def test_criterion_4_sufficiency_chi_square_suite():
     all_pass = all(r.passed for r in reports)
     negative = verify_sufficiency(
         COSINE, n=100_000, m=4, seed=4002,
-        theta_override=theta_of(uniform(), 4).theta, level=level,
+        theta_override=theta_of(uniform(), 4), level=level,
     )
     elapsed = time.monotonic() - start
     _report(
@@ -293,7 +293,7 @@ def test_criterion_9_tuning_near_optimality():
     for gamma in (0.25, 0.5, 1.0):
         for k in range(10, 21):
             n = 2**k
-            at_rule = total_bound(n, gamma).total
+            at_rule = total_bound_curve(n, gamma, 1.0, [choose_m(n, gamma)])[0]
             _, best = minimize_total(n, gamma)
             worst = max(worst, at_rule / best)
     _report(

@@ -51,14 +51,14 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_interpolation_property(self, m):
-        theta = theta_of(COSINE, m).theta
+        theta = theta_of(COSINE, m)
         fhat = reconstruct(COSINE, m)
         mids = tent_basis(m).midpoints
         assert fhat.pdf(mids) == pytest.approx(m * theta, abs=1e-13)
 
     def test_matches_tent_combination(self):
         m = 6
-        theta = theta_of(COSINE, m).theta
+        theta = theta_of(COSINE, m)
         fhat = reconstruct(COSINE, m)
         x = np.linspace(0.0, 1.0, 401)
         combo = theta @ tent_basis(m).mixture(np.eye(m)).pdf(x)
@@ -66,7 +66,7 @@ class TestReconstruct:
 
     def test_is_the_tent_kernels_pushforward(self):
         m = 8
-        theta = theta_of(COSINE, m).theta
+        theta = theta_of(COSINE, m)
         law = DiscreteLaw(tuple(enumerate(theta)))
         pushed = reconstruction_kernel(m).pushforward_density(law)
         fhat = reconstruct(COSINE, m)

@@ -6,14 +6,12 @@ import pytest
 
 import lecam.equivalence
 from lecam.equivalence import (
-    ChainBound,
     RateParams,
     bound_carter_independent,
     bound_carter_multinomial,
     bound_density_reconstruction,
     choose_m,
     minimize_total,
-    total_bound,
     total_bound_curve,
 )
 from lecam.errors import DomainError
@@ -91,7 +89,11 @@ class TestCarterRates:
         with pytest.raises(DomainError):
             RateParams(0, 4, 1.0)
         with pytest.raises(DomainError):
+            RateParams(math.nan, 4, 1.0)
+        with pytest.raises(DomainError):
             RateParams(4, 1, 1.0)
+        with pytest.raises(DomainError):
+            RateParams(4, math.nan, 1.0)
         with pytest.raises(DomainError):
             RateParams(4, 4, 1.5)
         with pytest.raises(DomainError):
@@ -116,38 +118,42 @@ class TestChooseM:
             choose_m(100, 0.0)
 
 
+def at_rule(n: int, gamma: float) -> float:
+    """The chain total at the tuning rule's bin count."""
+    return float(total_bound_curve(n, gamma, 1.0, [choose_m(n, gamma)])[0])
+
+
 class TestTotalBound:
     def test_links_nonnegative_and_total(self):
-        cb = total_bound(4096, 1.0)
-        links = cb.links()
-        assert all(v >= 0.0 for v in links.values())
-        assert cb.total == pytest.approx(sum(links.values()))
-        assert all(cb.total >= v for v in links.values())
-
-    def test_negative_link_rejected(self):
-        with pytest.raises(DomainError):
-            ChainBound(-1.0, 0.0, 0.0, 0.0)
+        p = RateParams(4096, choose_m(4096, 1.0), 1.0)
+        recon = bound_density_reconstruction(p)
+        carter = bound_carter_multinomial(p) + bound_carter_independent(p)
+        assert recon >= 0.0 and carter >= 0.0
+        # density -> multinomial, multinomial -> Gaussian, then two reconstruction links
+        assert at_rule(4096, 1.0) == recon + carter + recon + recon
 
     def test_curve_matches_pointwise(self):
-        n, gamma = 2**14, 0.5
+        n, gamma, C_R = 2**14, 0.5, 2.0
         ms = np.array([8, 32, 128])
-        curve = total_bound_curve(n, gamma, 1.0, ms)
+        curve = total_bound_curve(n, gamma, C_R, ms)
         for m, val in zip(ms, curve):
-            assert val == pytest.approx(total_bound(n, gamma, m=int(m)).total, rel=1e-12)
+            p = RateParams(n, int(m), gamma, C_R)
+            recon = bound_density_reconstruction(p)
+            carter = bound_carter_multinomial(p) + bound_carter_independent(p)
+            assert val == recon + carter + recon + recon
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
     def test_totals_decrease_along_the_rule(self, gamma):
         # the m-rule jumps at small n; the tail from 2^11 is monotone
-        totals = [total_bound(2**k, gamma).total for k in range(11, 21)]
+        totals = [at_rule(2**k, gamma) for k in range(11, 21)]
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
     def test_rule_near_optimal(self, gamma):
         for k in (10, 14, 18):
             n = 2**k
-            at_rule = total_bound(n, gamma).total
             _, best = minimize_total(n, gamma)
-            assert at_rule <= 2.0 * best
+            assert at_rule(n, gamma) <= 2.0 * best
 
     def test_ratio_to_target_rate_bounded(self):
         ratios = []
@@ -203,8 +209,9 @@ class TestMinimizeTotal:
             tracemalloc.stop()
         assert peak < 2**20
         assert 2 < m < 2**40
-        assert total < total_bound(2**40, 1.0, m=m - 1).total
-        assert total <= total_bound(2**40, 1.0, m=m + 1).total
+        before, after = total_bound_curve(2**40, 1.0, 1.0, [m - 1, m + 1])
+        assert total < before
+        assert total <= after
 
     # n = 0 used to return (2, inf) with divide-by-zero warnings, n = -4 a bare ValueError
     @pytest.mark.parametrize("n", [0, -4])
@@ -215,7 +222,34 @@ class TestMinimizeTotal:
             total_bound_curve(n, 0.5, 1.0, [2, 3])
 
     def test_n_of_one_is_accepted(self):
-        assert minimize_total(1, 0.5) == (2, total_bound(1, 0.5, m=2).total)
+        assert minimize_total(1, 0.5) == (2, total_bound_curve(1, 0.5, 1.0, [2])[0])
+
+    # bit for bit: the links are summed in chain order
+    @pytest.mark.parametrize(
+        "n, gamma, want",
+        [
+            (10**6, 0.5, (269, 3.13392701356574)),
+            (2**40, 1.0, (43416, 0.8329508252391544)),
+            (1, 0.5, (2, 5.5076147046795345)),
+        ],
+    )
+    def test_pinned_minimizers(self, n, gamma, want):
+        assert minimize_total(n, gamma) == want
+
+    @pytest.mark.parametrize(
+        "gamma, C_R",
+        [(0.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.nan)],
+    )
+    def test_out_of_range_parameters_are_domain_errors(self, gamma, C_R):
+        with pytest.raises(DomainError):
+            minimize_total(100, gamma, C_R)
+        with pytest.raises(DomainError):
+            total_bound_curve(100, gamma, C_R, [2, 3])
+
+    @pytest.mark.parametrize("m_values", [[1, 2], [math.nan, 4]])
+    def test_bin_count_below_two_is_a_domain_error(self, m_values):
+        with pytest.raises(DomainError, match="m must be >= 2"):
+            total_bound_curve(100, 0.5, 1.0, m_values)
 
 
 def test_target_rate_branches():

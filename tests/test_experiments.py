@@ -10,8 +10,8 @@ import lecam.experiments
 
 from lecam.densities import affine, cosine, parse_spec, uniform
 from lecam.errors import DomainError, UsageError
+from lecam.measures import DensityModel
 from lecam.experiments import (
-    ThetaVector,
     Trajectory,
     increments,
     format_samples,
@@ -29,25 +29,25 @@ COSINE = cosine([0.3])
 
 class TestThetaOf:
     def test_uniform_quarters(self):
-        th = theta_of(uniform(), 4).theta
+        th = theta_of(uniform(), 4)
         assert th == pytest.approx([0.25] * 4, abs=1e-14)
 
     def test_cosine_matches_antiderivative(self):
         # closed-form antiderivative is the oracle
         f = COSINE
         for m in (2, 4, 7):
-            th = theta_of(f, m).theta
+            th = theta_of(f, m)
             edges = np.arange(m + 1) / m
             expect = np.diff(f.primitive(edges))
             assert th == pytest.approx(expect, abs=1e-12)
-        assert theta_of(f, 2).theta[0] == pytest.approx(0.5, abs=1e-12)
+        assert theta_of(f, 2)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_sums_to_one(self):
         for f in (COSINE, affine(0.8)):
-            assert theta_of(f, 13).theta.sum() == pytest.approx(1.0, abs=1e-11)
+            assert theta_of(f, 13).sum() == pytest.approx(1.0, abs=1e-11)
 
     def test_class_bounds(self):
-        th = theta_of(COSINE, 8).theta
+        th = theta_of(COSINE, 8)
         assert th.min() >= COSINE.eps / 8 - 1e-9
         assert th.max() <= COSINE.M / 8 + 1e-9
 
@@ -55,11 +55,20 @@ class TestThetaOf:
         with pytest.raises(UsageError):
             theta_of(uniform(), 1)
 
-    def test_theta_vector_validation(self):
-        with pytest.raises(DomainError):
-            ThetaVector(theta=np.array([0.6, 0.6]))
-        with pytest.raises(DomainError):
-            ThetaVector(theta=np.array([-0.1, 1.1]))
+    def test_returns_the_probability_array(self):
+        th = theta_of(COSINE, 8)
+        assert isinstance(th, np.ndarray) and th.shape == (8,) and th.dtype == float
+
+    def test_rejects_mass_that_does_not_sum_to_one(self):
+        f = DensityModel(pdf=lambda x: np.full_like(x, 1.2), gamma=1.0, K=1.0, eps=0.5, M=2.0)
+        with pytest.raises(DomainError, match="sums to 1.2"):
+            theta_of(f, 4)
+
+    def test_rejects_negative_mass_under_a_tiny_lower_bound(self):
+        # 4x - 1 integrates to 1 but gives the first of four cells mass -1/8
+        f = DensityModel(pdf=lambda x: 4.0 * x - 1.0, gamma=1.0, K=1.0, eps=1e-12, M=3.0)
+        with pytest.raises(DomainError, match="outside"):
+            theta_of(f, 4)
 
 
 class TestSampleIid:
@@ -85,7 +94,7 @@ class TestSampleIid:
     def test_bin_frequencies_match_theta(self):
         n, m = 10_000, 10
         xs = sample_iid(COSINE, n, 42)
-        th = theta_of(COSINE, m).theta
+        th = theta_of(COSINE, m)
         freq = np.bincount(np.minimum((xs * m).astype(int), m - 1), minlength=m) / n
         z = (freq - th) / np.sqrt(th * (1.0 - th) / n)
         assert np.abs(z).max() <= 3.0
@@ -101,7 +110,7 @@ class TestSampleIid:
         from lecam.kernels import bin_counts
 
         n, m = 10_000, 8
-        expected = n * theta_of(COSINE, m).theta
+        expected = n * theta_of(COSINE, m)
         rejections = 0
         for run in range(100):
             counts = bin_counts(sample_iid(COSINE, n, substream_seq(60, run)), m)
@@ -276,6 +285,10 @@ class TestSerialization:
             Trajectory(times=np.array([0.0, 0.5, 0.6]), values=np.zeros(3))
         with pytest.raises(UsageError):
             Trajectory(times=np.array([0.1, 0.2, 0.3]), values=np.zeros(3))
+
+    def test_trajectory_rejects_non_finite_values(self):
+        with pytest.raises(DomainError, match="finite"):
+            Trajectory(times=np.linspace(0, 1, 3), values=np.array([0.0, np.nan, 0.5]))
 
 
 def _former_cosine_pdf(coeffs):

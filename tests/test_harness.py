@@ -57,23 +57,19 @@ class TestSufficiency:
             report = verify_sufficiency(COSINE, n=10_000, m=m, seed=42)
             assert report.passed, report.to_json()
 
-    def test_single_cell_trivial(self):
-        report = verify_sufficiency(COSINE, n=100, m=1, seed=0)
-        assert report.passed and report.p_value == 1.0
+    def test_single_cell_is_a_usage_error(self):
+        # one cell leaves nothing to test, as when merging leaves one column
+        with pytest.raises(UsageError, match="m >= 2"):
+            verify_sufficiency(COSINE, n=100, m=1, seed=0)
 
     def test_negative_control_has_power(self):
-        wrong = theta_of(uniform(), 4).theta
+        wrong = theta_of(uniform(), 4)
         report = verify_sufficiency(
             COSINE, n=100_000, m=4, seed=3, theta_override=wrong
         )
         assert not report.passed
         assert report.p_value < 1e-6
         assert report.details["negative_control"]
-
-    def test_pooled_replications(self):
-        report = verify_sufficiency(COSINE, n=2_000, m=4, replications=5, seed=9)
-        assert report.passed
-        assert "n=10000" in report.name
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_too_few_draws_for_two_cells_is_a_usage_error(self, n):

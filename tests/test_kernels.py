@@ -37,7 +37,6 @@ def identity_kernel(space):
         source=space,
         target=space,
         sample=lambda x, seed: x,
-        pushforward_density=lambda law: law,
         label="identity",
     )
 
@@ -184,7 +183,7 @@ class TestBinCounts:
         n, m = 20_000, 8
         xs = sample_iid(COSINE, n, 31)
         counts = bin_counts(xs, m)
-        expected = n * theta_of(COSINE, m).theta
+        expected = n * theta_of(COSINE, m)
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(stat, m - 1) >= 1e-3
 
@@ -197,7 +196,7 @@ class TestMidpointSample:
     def test_first_coordinate_marginal(self):
         # first coordinate of the permuted multiset is an X* draw
         m, n, reps = 4, 12, 3000
-        theta = theta_of(COSINE, m).theta
+        theta = theta_of(COSINE, m)
         rng_counts = np.random.default_rng(8)
         firsts = np.empty(reps, dtype=int)
         for r in range(reps):
@@ -380,7 +379,7 @@ class TestProductAndCompose:
     def test_iid_product_law(self):
         # n tent kernels applied to i.i.d. X* draws give i.i.d. f_hat draws
         m, n = 4, 10_000
-        theta = theta_of(COSINE, m).theta
+        theta = theta_of(COSINE, m)
         rng = np.random.default_rng(12)
         xs = rng.choice(m, size=n, p=theta)
         k = reconstruction_kernel(m)
@@ -389,23 +388,6 @@ class TestProductAndCompose:
 
         fhat = reconstruct(COSINE, m)
         assert stats.kstest(ys, fhat.cdf).pvalue >= 1e-3
-
-    def test_product_pushforward_is_componentwise(self):
-        m = 4
-        k = reconstruction_kernel(m)
-        prod = product_kernel(k, 2)
-        mids = tent_basis(m).midpoints
-        laws = [
-            DiscreteLaw(((0, 1.0),)),
-            DiscreteLaw(tuple(enumerate([0.25] * m))),
-        ]
-        fhats = prod.pushforward_density(laws)
-        x = np.linspace(0.0, 1.0, 101)
-        tent_1 = np.interp(x, [0.0, mids[0], mids[1]], [m, m, 0.0])
-        assert fhats[0].pdf(x) == pytest.approx(tent_1, abs=1e-12)
-        assert fhats[1].pdf(x) == pytest.approx(np.ones_like(x), abs=1e-12)
-        with pytest.raises(UsageError):
-            prod.pushforward_density(laws[:1])
 
     def test_compose_identity(self):
         m, n = 4, 16
@@ -476,6 +458,10 @@ class TestBridges:
         with pytest.raises(DomainError):
             brownian_bridge_paths(np.array([[0.0, 1.5]]), np.random.default_rng(0), 1)
 
+    def test_nan_times_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            brownian_bridge_paths(np.array([[0.25, np.nan]]), np.random.default_rng(0), 1)
+
 
 class TestSynthesizeYstar:
     def test_terminal_value_is_increment_sum(self):
@@ -503,6 +489,10 @@ class TestSynthesizeYstar:
             synthesize_ystar(np.array([0.5]), 10, 0, 64)
         with pytest.raises(UsageError):
             synthesize_ystar(np.zeros(8), 10, 0, 4)
+
+    def test_nan_increment_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            synthesize_ystar(np.array([0.5, np.nan]), 10, 1, 4)
 
     def test_full_trajectory_chain_variance(self):
         # honest chain: white-noise trajectory -> increments -> reassembled y*,

@@ -364,6 +364,13 @@ class TestHellingerProduct:
         with pytest.raises(DomainError):
             hellinger_sq_product([-0.1])
 
+    @pytest.mark.parametrize(
+        "comps", [[math.nan], [0.1, math.nan], [math.inf], [0.1, -math.inf]]
+    )
+    def test_non_finite_component_is_a_domain_error(self, comps):
+        with pytest.raises(DomainError, match="finite"):
+            hellinger_sq_product(comps)
+
     def test_broken_subadditivity_raises(self, monkeypatch):
         # an explicit raise, not an assert, so it holds under python -O
         monkeypatch.setattr(measures.np, "expm1", lambda x: -1.0)
