@@ -13,7 +13,6 @@ pairs produce byte-identical output regardless of the thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -60,30 +59,31 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _build_model(args):
-    model = parse_spec(args.density, gamma=args.gamma)
-    overrides = {}
-    for name in ("K", "eps", "M"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        model = dataclasses.replace(model, **overrides)
+def _int64(text: str) -> int:
+    """An integer option must lie in numpy's int64 range (|x| < 2^63): it sizes arrays."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if abs(value) >= 2**63:
+        raise argparse.ArgumentTypeError(f"{text!r} is outside the int64 range")
+    return value
+
+
+def _build_model(spec: str, gamma: float = 1.0):
+    """The catalog density ``spec``, its class claims checked (DomainError: exit 2)."""
+    model = parse_spec(spec, gamma=gamma)
     model.validate()
     return model
 
 
-def _add_class_args(sp, default_density: str) -> None:
+def _add_density_arg(sp) -> None:
     sp.add_argument(
         "--density",
-        default=default_density,
+        default="cosine:0.3",
         help="builtin density spec: uniform | cosine:a1[,a2,a3] with sum |a_k| <= 1/2 "
-        "(larger exits 2) | affine:a",
+        "(larger exits 2) | affine:a; the spec fixes the class constants K, eps and M",
     )
-    sp.add_argument("--gamma", type=float, default=1.0, help="Hoelder exponent in (0,1]")
-    sp.add_argument("--K", type=float, default=None, help="override the class constant K")
-    sp.add_argument("--eps", type=float, default=None, help="override the lower bound")
-    sp.add_argument("--M", type=float, default=None, help="override the upper bound")
 
 
 def _parse_normal(text: str) -> NormalSpec:
@@ -120,9 +120,7 @@ def cmd_distance(args) -> int:
         a, b = (_parse_normal(s) for s in specs)
         report = normal_distance(a, b, args.metric)
     else:
-        fa, fb = (parse_spec(s) for s in specs)
-        fa.validate()
-        fb.validate()
+        fa, fb = (_build_model(s) for s in specs)
         report = _density_distance(fa, fb, args.metric)
     record = {
         "metric": report.metric,
@@ -135,11 +133,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model = _build_model(args)
+    model = _build_model(args.density, args.gamma)
     try:
-        grid = [int(v) for v in args.n_grid.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad n grid {args.n_grid!r}") from None
+        grid = [_int64(v) for v in args.n_grid.split(",") if v.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad n grid {args.n_grid!r}: {exc}") from None
     result = rate_sweep(model, args.gamma, grid)
     if args.format == "csv":
         lines = ["n,m,measured,bound,ratio"]
@@ -163,7 +161,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.parallel < 1:
         raise UsageError("parallel degree must be >= 1")
-    model = _build_model(args)
+    model = _build_model(args.density)
     reports = run_suite(
         model,
         seed=args.seed,
@@ -175,7 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    model = _build_model(args)
+    model = _build_model(args.density, args.gamma)
     modes = sum(x is not None for x in (args.n, args.infile, args.counts))
     if modes != 1:
         raise UsageError("give exactly one of --n, --in, or --counts")
@@ -241,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", default="-")
 
     s = sub.add_parser("sweep", help="rate sweep along the bin tuning rule")
-    _add_class_args(s, "cosine:0.3")
-    s.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
+    _add_density_arg(s)
+    s.add_argument("--gamma", type=float, default=1.0, help="Hoelder exponent in (0,1]")
+    s.add_argument("--n-grid", required=True, help="comma-separated sample sizes, |n| < 2^63")
     s.add_argument(
-        "--seed", type=_seed, required=True,
-        help="accepted for old command lines; a sweep is pure quadrature, so it "
+        "--seed", type=_seed,
+        help="optional, for old command lines: a sweep is pure quadrature, so it "
         "changes nothing",
     )
     s.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -260,12 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
         "each; the y* moment and risk-transfer checks run their replications "
         "in fixed-size blocks, so memory does not grow with --reps). The risk "
         "blocks, then the other checks, run on one thread pool of at most two "
-        "workers, sized from the CPUs the process may use. --reps must be at "
-        "least 100. Exit 0 iff every check passes.",
+        "workers, sized from the CPUs the process may use. The density spec "
+        "fixes the class (K, eps, M); the checks read no Hoelder exponent. "
+        "--reps must be at least 100 and below 2^63. Exit 0 iff every check passes.",
     )
-    _add_class_args(v, "cosine:0.3")
+    _add_density_arg(v)
     v.add_argument("--seed", type=_seed, required=True)
-    v.add_argument("--reps", type=int, default=10_000)
+    v.add_argument("--reps", type=_int64, default=10_000)
     v.add_argument("--negative-control", action="store_true")
     v.add_argument(
         "--parallel", type=int, default=1, metavar="N",
@@ -283,13 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
         "stage on the same seed path, so counts equal to a sample's bin counts "
         "print the same values as that sample.",
     )
-    _add_class_args(t, "cosine:0.3")
-    t.add_argument("--m", type=int, default=None, help="bin count")
+    _add_density_arg(t)
+    t.add_argument("--gamma", type=float, default=1.0, help="Hoelder exponent in (0,1]")
+    t.add_argument("--m", type=_int64, default=None, help="bin count")
     t.add_argument(
         "--auto-m", action="store_true",
         help="pick m by the tuning rule n^(1/(2+gamma)) (needs --n)",
     )
-    t.add_argument("--n", type=int, default=None, help="generate an i.i.d. sample")
+    t.add_argument("--n", type=_int64, default=None, help="generate an i.i.d. sample")
     t.add_argument("--in", dest="infile", default=None, help="read a sample file")
     t.add_argument("--counts", default=None, help="comma-separated counts vector")
     t.add_argument("--seed", type=_seed, required=True)

@@ -7,7 +7,6 @@ coefficients into the class; ``parse_spec`` refuses a spec it would clamp.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,11 +20,11 @@ _TWO_PI = 2.0 * math.pi
 _MAX_COS_MASS = 0.5  # sum |a_k| is clamped here, keeping eps >= 1/2
 
 
-def uniform() -> DensityModel:
+def uniform(gamma: float = 1.0) -> DensityModel:
     """The uniform density on [0, 1]."""
     return DensityModel(
         pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        gamma=1.0,
+        gamma=gamma,
         K=1.0,
         eps=1.0,
         M=1.0,
@@ -51,7 +50,7 @@ def cosine(coeffs, gamma: float = 1.0) -> DensityModel:
         a = a * (_MAX_COS_MASS / s)
         s = _MAX_COS_MASS
     if s == 0.0:
-        return uniform()
+        return uniform(gamma)
     k = np.arange(1, a.size + 1, dtype=float)
 
     def series(x, start, coef, wave):
@@ -128,7 +127,7 @@ def parse_spec(text: str, gamma: float = 1.0) -> DensityModel:
     if name == "uniform":
         if args:
             raise UsageError("uniform takes no arguments")
-        return dataclasses.replace(uniform(), gamma=gamma)
+        return uniform(gamma)
     if name not in CATALOG:
         raise UsageError(
             f"unknown density {name!r}; available: {', '.join(sorted(CATALOG))}"

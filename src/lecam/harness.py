@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +54,7 @@ RISK_BLOCK = 100    # replications per risk-transfer block
 # replications per y*-moment block: at m = 8 its 1.5 MB of bridge paths lifts glibc's
 # trim threshold so warm suites stop refaulting the risk blocks' heap (1,000: ~90k faults)
 YSTAR_BLOCK = 3_000
+YSTAR_TIMES = (0.25, 0.5, 0.75, 1.0)  # where the y* mean and variance are checked
 
 
 def sig12(x):
@@ -215,26 +216,25 @@ def verify_ystar_moments(
     m: int,
     replications: int = 10_000,
     seed=0,
-    ts: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
 ) -> CheckReport:
     """Moment checks of the reassembled trajectory against the target process.
 
-    Verifies E[y*_t], Var[y*_t] = t / (4n), per-cell increment variances
-    1 / (4 n m), and zero covariance between disjoint increments, all
-    within 4 Monte Carlo standard errors.
+    Verifies E[y*_t] and Var[y*_t] = t / (4n) at each t in ``YSTAR_TIMES``,
+    per-cell increment variances 1 / (4 n m), and zero covariance between
+    disjoint increments, all within 4 Monte Carlo standard errors.
 
     Blocks of ``YSTAR_BLOCK`` replications, block b on substreams
     ``("increments" | "bridges", "block", b)``, return their rows
-    [y*(ts), cell increments] to ``_blocked_moments``, the risk check's block
-    path too: memory stays flat as ``replications`` grows.
+    [y*(YSTAR_TIMES), cell increments] to ``_blocked_moments``, the risk
+    check's block path too: memory stays flat as ``replications`` grows.
     """
     R = _moment_replications(replications)
     g = sqrt_cell_means(f, m)
     sd = 1.0 / (2.0 * math.sqrt(n * m))
     edges = np.arange(1, m + 1, dtype=float) / m
-    times = np.union1d(np.asarray(ts, dtype=float), edges)
+    times = np.union1d(YSTAR_TIMES, edges)
     U = tent_basis(m).cdf_matrix(times)  # (m, T)
-    t_idx, edge_idx = np.searchsorted(times, ts), np.searchsorted(times, edges)
+    t_idx, edge_idx = np.searchsorted(times, YSTAR_TIMES), np.searchsorted(times, edges)
 
     def block(b: int, size: int) -> np.ndarray:
         ybar = substream(seed, "increments", "block", b).normal(loc=g, scale=sd, size=(size, m))
@@ -247,7 +247,7 @@ def verify_ystar_moments(
     var = np.diag(cov)
 
     z_scores: dict[str, float] = {}
-    for k, t in enumerate(ts):
+    for k, t in enumerate(YSTAR_TIMES):
         exp_mean = float(g @ U[:, t_idx[k]])
         z_scores[f"mean@t={t:g}"] = (mean[k] - exp_mean) / math.sqrt(var[k] / R)
         z_scores[f"var@t={t:g}"] = (var[k] - t / (4.0 * n)) / (var[k] * math.sqrt(2.0 / (R - 1)))
@@ -255,7 +255,7 @@ def verify_ystar_moments(
     u_edges = np.column_stack([np.zeros(m), U[:, edge_idx]])
     exp_incs = g @ np.diff(u_edges, axis=1)
     var_inc = 1.0 / (4.0 * n * m)
-    inc = len(ts)  # the increments' first column
+    inc = len(YSTAR_TIMES)  # the increments' first column
     for i in range(m):
         v = var[inc + i]
         z_scores[f"inc-var@{i + 1}"] = (v - var_inc) / (v * math.sqrt(2.0 / (R - 1)))
@@ -323,25 +323,18 @@ def verify_risk_transfer(
     m: int,
     replications: int = 10_000,
     seed=0,
-    rule: Callable | None = None,
 ) -> CheckReport:
     """Risk gap across the chain versus the Hellinger-derived TV budget.
 
     The original rule runs on i.i.d. f samples; the transferred rule runs
     on multinomial counts whose cell indices go through the chain's own
     tent stage, ``transport_chain(n, m).stages[-1]``.  Their risks must
-    agree up to the TV bound between f^n and f_hat^n plus 4 combined SEs,
-    uniformly over rules; the default rule is the empirical cell-1
-    frequency.  The TV budget is tv_sandwich
-    applied to the exact product-rule H^2, which is the computable
-    surrogate (<= sqrt(n) H(f, f_hat_m)) for the true TV.
-
-    ``rule`` maps an (R, n) array of samples to R actions and must be
-    symmetric in each row: the transferred route skips the midpoint
-    shuffle and returns each row in cell order, not in the uniformly random
-    order of the kernel chain, so a rule that reads the order would get a
-    wrong risk.  The first block compares the rule on its rows and on the
-    reversed rows and raises ``UsageError`` if they differ.
+    agree up to the TV bound between f^n and f_hat^n plus 4 combined SEs.
+    The rule is the empirical cell-1 frequency; it reads no sample order, so
+    the transferred route may skip the midpoint shuffle and hand it each row
+    in cell order.  The TV budget is tv_sandwich applied to the exact
+    product-rule H^2, which is the computable surrogate
+    (<= sqrt(n) H(f, f_hat_m)) for the true TV.
 
     Replications run in blocks of ``RISK_BLOCK`` on their own named
     substreams; block b returns its (size, 2) losses [target, source] to
@@ -356,10 +349,8 @@ def verify_risk_transfer(
     tent = transport_chain(n, m).stages[-1]
     cell_edge = 1.0 / m
 
-    if rule is None:
-
-        def rule(rows: np.ndarray) -> np.ndarray:
-            return (rows <= cell_edge).mean(axis=1)
+    def rule(rows: np.ndarray) -> np.ndarray:
+        return (rows <= cell_edge).mean(axis=1)
 
     def block(b: int, size: int) -> np.ndarray:
         xs = sample_iid(f, size * n, substream_seq(seed, "target", "block", b))
@@ -370,11 +361,8 @@ def verify_risk_transfer(
         cell_ids = np.arange(m, dtype=np.min_scalar_type(m - 1))
         cells = np.repeat(np.tile(cell_ids, size), counts.ravel()).reshape(size, n)
         ys = tent.sample(cells, substream_seq(seed, "tent", "block", b))
-        actions = rule(ys)
-        if b == 0 and not np.allclose(actions, rule(ys[:, ::-1])):
-            raise UsageError("rule reads the order of its samples; it must be symmetric")
         # column-major, so each column's mean is a contiguous (pairwise) sum, not row by row
-        losses = np.array([target, problem.loss(theta_true, actions)], dtype=float).T
+        losses = np.array([target, problem.loss(theta_true, rule(ys))], dtype=float).T
         if not (losses.min() >= 0.0 and losses.max() <= 1.0):
             raise DomainError("loss values fell outside [0, 1]")
         return losses

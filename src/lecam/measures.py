@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6  # central-difference step for f' when no analytic derivative
+_VALIDATE_GRID = 2001  # grid points on which DensityModel.validate checks the class
+_VALIDATE_TOL = 1e-8   # slack on each of validate's bound, integral and Hoelder checks
 
 
 @dataclass(frozen=True)
@@ -78,30 +80,30 @@ class DensityModel:
         hi = np.clip(x + _FD_STEP, 0.0, 1.0)
         return (self.pdf(hi) - self.pdf(lo)) / (hi - lo)
 
-    def validate(self, grid_points: int = 2001, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         """Check the class invariants on a dense grid; raise DomainError."""
-        x = np.linspace(0.0, 1.0, grid_points)
+        x = np.linspace(0.0, 1.0, _VALIDATE_GRID)
         fx = np.asarray(self.pdf(x), dtype=float)
         if not np.isfinite(fx).all():
             raise DomainError(f"{self.name}: density not finite at x={x[~np.isfinite(fx)][0]:.6g}")
-        if fx.min() < self.eps - tol:
+        if fx.min() < self.eps - _VALIDATE_TOL:
             raise DomainError(
                 f"{self.name}: min density {fx.min():.6g} below eps={self.eps}"
             )
-        if fx.max() > self.M + tol:
+        if fx.max() > self.M + _VALIDATE_TOL:
             raise DomainError(
                 f"{self.name}: max density {fx.max():.6g} above M={self.M}"
             )
         total, _ = integrate(self.pdf, 0.0, 1.0, tol=1e-10)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > _VALIDATE_TOL:
             raise DomainError(f"{self.name}: integral {total:.12g} != 1")
         # Hoelder spot-check on grid pairs: adjacent points plus long strides.
         d = np.asarray(self.derivative(x), dtype=float)
         fd_slack = 10.0 * _FD_STEP if self.deriv is None else 0.0
-        for stride in (1, 7, 101, grid_points // 2):
+        for stride in (1, 7, 101, _VALIDATE_GRID // 2):
             gap = np.abs(d[stride:] - d[:-stride])
             dist = x[stride:] - x[:-stride]
-            bound = self.K * dist**self.gamma + self.K * fd_slack + tol
+            bound = self.K * dist**self.gamma + self.K * fd_slack + _VALIDATE_TOL
             if not np.all(gap <= bound):  # a NaN derivative fails here too
                 k = int(np.argmax(gap - bound))
                 raise DomainError(

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -26,6 +27,15 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_or_exit(argv, capsys):
+    """``run``, with argparse's SystemExit read as the exit code."""
+    try:
+        return run(argv, capsys)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 class TestDistance:
@@ -313,10 +323,13 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["sweep", "--n-grid", "1024,2048,4096,8192"])
-        assert err.value.code == 2
+    def test_seed_is_optional_and_changes_nothing(self, capsys):
+        # a sweep draws nothing; --seed stays accepted for old command lines
+        argv = ["sweep", "--n-grid", "1024,4096,16384,65536", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv + ["--seed", "7"], capsys) == (0, out, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED["cosine:0.3", "json"]
 
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
         import lecam.cli as cli_mod
@@ -372,22 +385,13 @@ class TestParserReuse:
         ["distance", "--density", "uniform", "--density", "cosine:0.3"],
     ]
 
-    @staticmethod
-    def _in_process(argv, capsys):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     def test_parser_built_once(self, monkeypatch, capsys):
         builds = []
         real = lecam.cli.build_parser
         monkeypatch.setattr(lecam.cli, "_parser", None)
         monkeypatch.setattr(lecam.cli, "build_parser", lambda: builds.append(1) or real())
         for argv in self.SEQUENCE * 3:
-            self._in_process(argv, capsys)
+            run_or_exit(argv, capsys)
         assert len(builds) == 1
 
     def test_each_call_matches_a_fresh_process(self, monkeypatch, capsys):
@@ -398,7 +402,7 @@ class TestParserReuse:
         # the usage text wraps at the terminal width; pin it for both sides
         monkeypatch.setenv("COLUMNS", "80")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        got = [self._in_process(argv, capsys) for argv in self.SEQUENCE]
+        got = [run_or_exit(argv, capsys) for argv in self.SEQUENCE]
         want = []
         for argv in self.SEQUENCE:
             proc = subprocess.run(
@@ -492,20 +496,21 @@ class TestVerify:
         assert err.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_class_params_exit_2(self, capsys):
-        code, _, err = run(
-            ["verify", "--seed", "1", "--eps", "2", "--M", "1"], capsys
-        )
-        assert code == 2
-        assert "eps" in err
+    def test_bad_class_params_exit_2(self, monkeypatch, capsys):
+        # a model whose claimed class does not hold is refused before any draw
+        lying = dataclasses.replace(lecam.densities.uniform(), eps=2.0, M=3.0)
+        monkeypatch.setattr(lecam.cli, "parse_spec", lambda *a, **k: lying)
+        code, out, err = run(["verify", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "below eps=2" in err
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["transport", "--m", "4", "--n", "10", "--seed", "1", "--M", "inf"],
-            ["transport", "--m", "4", "--n", "10", "--seed", "1", "--K", "nan"],
-            ["sweep", "--n-grid", "1024,2048,4096,8192", "--seed", "1", "--eps", "nan"],
-            ["verify", "--seed", "1", "--gamma", "nan"],
+            ["transport", "--m", "4", "--n", "10", "--seed", "1", "--gamma", "inf"],
+            ["transport", "--auto-m", "--n", "10", "--seed", "1", "--gamma", "nan"],
+            ["sweep", "--n-grid", "1024,2048,4096,8192", "--gamma", "nan"],
+            ["sweep", "--n-grid", "1024,2048,4096,8192", "--gamma=-inf"],
         ],
     )
     def test_non_finite_class_params_exit_2(self, argv, capsys):
@@ -587,11 +592,11 @@ class TestTransport:
         assert (code, out) == (2, "")
         assert err == "error: counts total 9223372036854775808 exceeds the int64 range\n"
 
-    def test_overflowing_envelope_exits_2(self, capsys):
+    def test_overflowing_envelope_exits_2(self, monkeypatch, capsys):
         # M = 1e308 cannot size sample_iid's rejection batch; refused before any draw
-        code, out, err = run(
-            ["transport", "--n", "10", "--m", "4", "--seed", "1", "--M", "1e308"], capsys
-        )
+        loose = dataclasses.replace(cosine([0.3]), M=1e308)
+        monkeypatch.setattr(lecam.cli, "parse_spec", lambda *a, **k: loose)
+        code, out, err = run(["transport", "--n", "10", "--m", "4", "--seed", "1"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: cosine:0.3: class bound M=1e+308 is too large")
         assert err.count("\n") == 1
@@ -766,3 +771,66 @@ class TestInternalErrors:
         monkeypatch.setattr(lecam.cli, "cmd_distance", broken)
         code, out, err = run(["distance", "--normal", "0,1", "--normal", "1,1"], capsys)
         assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
+
+
+class TestOptionSurface:
+    """The density spec alone fixes the class; the parser has no overrides for it."""
+
+    ARGV = {
+        "sweep": ["sweep", "--n-grid", "1024,2048,4096,8192"],
+        "verify": ["verify", "--seed", "1", "--reps", "50"],
+        "transport": ["transport", "--n", "10", "--m", "4", "--seed", "1"],
+    }
+
+    def test_parser_has_25_options(self):
+        sub = next(
+            a for a in lecam.cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: [a.option_strings[0] for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, parser in sub.choices.items()
+        }
+        assert sum(len(v) for v in options.values()) == 25, options
+        assert "--gamma" in options["sweep"] and "--gamma" in options["transport"]
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c in ("sweep", "verify", "transport") for o in ("--K", "--eps", "--M")]
+        + [("verify", "--gamma")],
+    )
+    def test_class_overrides_are_not_options(self, command, option, capsys):
+        value = {"--K": "1000", "--eps": "0.1", "--M": "3", "--gamma": "0.5"}[option]
+        code, out, err = run_or_exit(self.ARGV[command] + [option, value], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {option} {value}" in err
+
+
+class TestIntegerOptions:
+    """Integer options must fit int64; beyond it they exit 2, not 4 (internal error)."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transport", "--n", BIG, "--m", "4", "--seed", "1"],
+            ["transport", "--n", "10", "--m", "100000000000000000000", "--seed", "1"],
+            ["transport", "--n", "10", "--m", str(2**63), "--seed", "1"],
+            ["transport", "--n", str(-(2**63)), "--m", "4", "--seed", "1"],
+            ["verify", "--seed", "1", "--reps", "1" + "0" * 30],
+            ["sweep", "--n-grid", f"1024,2048,4096,{BIG}"],
+            ["sweep", "--n-grid", f"1024,2048,4096,{2**63}"],
+        ],
+    )
+    def test_beyond_int64_exits_2(self, argv, capsys):
+        code, out, err = run_or_exit(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "int64 range" in err and "internal error" not in err
+
+    def test_int64_edge_is_accepted_by_the_parser(self):
+        args = lecam.cli.build_parser().parse_args(
+            ["transport", "--n", str(2**63 - 1), "--m", str(-(2**63) + 1), "--seed", "1"]
+        )
+        assert (args.n, args.m) == (2**63 - 1, -(2**63) + 1)

@@ -91,6 +91,22 @@ def test_parse_spec_roundtrip():
     assert parse_spec("cosine:0.2,0.1").eps == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda gamma: uniform(gamma),
+        lambda gamma: cosine([0.0], gamma=gamma),
+        lambda gamma: parse_spec("uniform", gamma=gamma),
+        lambda gamma: parse_spec("cosine:0", gamma=gamma),
+        lambda gamma: parse_spec("cosine:0.3", gamma=gamma),
+        lambda gamma: parse_spec("affine:0.5", gamma=gamma),
+    ],
+)
+def test_every_catalog_route_keeps_the_callers_gamma(build):
+    # cosine with zero coefficients is the uniform density; it once dropped gamma
+    assert build(0.5).gamma == 0.5
+
+
 def test_parse_spec_errors():
     with pytest.raises(UsageError):
         parse_spec("triangle:1")
