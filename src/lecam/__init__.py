@@ -29,7 +29,6 @@ from .kernels import (
     product_kernel,
     reconstruction_kernel,
     synthesize_ystar,
-    tent_basis,
     transport_chain,
 )
 from .measures import (

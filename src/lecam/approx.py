@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .experiments import theta_of
-from .kernels import reconstruction_kernel, tent_basis
+from .kernels import TentBasis, reconstruction_kernel
 from .measures import (
     DensityModel,
     DiscreteLaw,
@@ -48,7 +48,7 @@ def reconstruct(f: DensityModel, m: int) -> PiecewiseLinearDensity:
 def _error_knots(m: int) -> np.ndarray:
     """Cell edges and midpoints, so quadrature panels align with kinks."""
     edges = np.arange(m + 1, dtype=float) / m
-    mids = tent_basis(m).midpoints
+    mids = TentBasis(m).midpoints
     return np.union1d(edges, mids)
 
 
@@ -112,6 +112,6 @@ def remainder_sup(f: DensityModel, m: int, i: int) -> float:
     x = np.linspace(lo, hi, REMAINDER_GRID)
     x_star = (2 * i - 1) / (2.0 * m)
     f0 = float(np.asarray(f.pdf(np.asarray([x_star])))[0])
-    d0 = float(np.asarray(f.derivative(np.asarray([x_star])))[0])
+    d0 = float(np.asarray(f.deriv(np.asarray([x_star])))[0])
     rem = np.abs(f.pdf(x) - f0 - d0 * (x - x_star))
     return float(rem.max())

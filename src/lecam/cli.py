@@ -198,18 +198,22 @@ def cmd_transport(args) -> int:
         n = sum(values)  # Python ints: counts.sum() would wrap past int64
         if n > np.iinfo(np.int64).max:
             raise UsageError(f"counts total {n} exceeds the int64 range")
-        if n < 1:
-            raise UsageError("transport needs at least one sample point")
+    elif args.infile is not None:
+        xs = load_samples(args.infile)
+        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+            raise UsageError(f"{args.infile}: sample values must lie in [0, 1]")
+        n = xs.size
+    else:
+        n = args.n
+    if n < 1:
+        raise UsageError("transport needs at least one sample point")
+    if args.m > n:
+        raise UsageError(f"m={args.m} bins exceed the n={n} sample points")
+    if args.counts is not None:
         ys = transport_chain(n, args.m).sample(counts, seed, start=1)
     else:
-        if args.infile is not None:
-            xs = load_samples(args.infile)
-            if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-                raise UsageError(f"{args.infile}: sample values must lie in [0, 1]")
-        else:
-            xs = sample_iid(model, args.n, substream_seq(args.seed, "draw"))
-        if xs.size < 1:
-            raise UsageError("transport needs at least one sample point")
+        if args.infile is None:
+            xs = sample_iid(model, n, substream_seq(args.seed, "draw"))
         ys = transport_batch(xs, args.m, seed)
         del xs  # the input is done with before the first line is written
     _emit(format_samples(ys), args.out)

@@ -32,7 +32,6 @@ __all__ = [
     "increments",
     "format_float",
     "format_samples",
-    "save_samples",
     "load_samples",
 ]
 
@@ -262,13 +261,10 @@ def _format_chunk(x: np.ndarray) -> str:
     24-byte record (prefix, three 4-digit groups, newline, NUL padding).
     Every other value, ties included, is formatted by ``%`` into its own
     record, NUL-padded (``%-23.12g`` spaces; ``%.12g`` has none and at most 19
-    characters).  Deleting the NULs joins the records into lines.  A chunk
-    mostly outside [1e-4, 1) is one ``%`` pass: records would cost more there.
+    characters).  Deleting the NULs joins the records into lines.
     """
     prefixes, groups, newline = _record_tables()
     in_range = (x >= 1e-4) & (x < 1.0)
-    if 2 * np.count_nonzero(in_range) < x.size:
-        return ((_FLOAT_FORMAT + "\n") * x.size) % tuple(x.tolist())
     p = np.where(in_range, x, 0.5)  # keeps the arithmetic below finite
     z = (p < 0.1).astype(np.uint8) + (p < 0.01) + (p < 0.001)
     p *= _SCALE[z]
@@ -308,12 +304,6 @@ def format_samples(values) -> Iterator[str]:
     return map_slices(
         lambda i: _format_chunk(values[i : i + _CHUNK]), range(0, values.size, _CHUNK)
     )
-
-
-def save_samples(path, values) -> None:
-    """Write ``values`` to ``path`` in the sample-file format, chunk by chunk."""
-    with open(path, "w") as fh:
-        fh.writelines(format_samples(values))
 
 
 def load_samples(path) -> np.ndarray:

@@ -23,9 +23,9 @@ from .equivalence import RateParams, bound_density_reconstruction, choose_m
 from .errors import DomainError, UsageError
 from .experiments import format_float, map_slices, sample_iid, sqrt_cell_means, theta_of
 from .kernels import (
+    TentBasis,
     bin_counts,
     counts_to_midpoint_sample,
-    tent_basis,
     transport_chain,
     ystar_values,
 )
@@ -196,7 +196,7 @@ def verify_transport(
     xs = sample_iid(f, n, substream_seq(seed, "draw"))
     if skip_reconstruction:
         cells = counts_to_midpoint_sample(bin_counts(xs, m), substream_seq(seed, "mid"))
-        ys = tent_basis(m).midpoints[cells]
+        ys = TentBasis(m).midpoints[cells]
     else:
         ys = transport_chain(n, m).sample(xs, substream_seq(seed, "chain"))
     res = stats.kstest(ys, fhat.cdf)
@@ -233,7 +233,7 @@ def verify_ystar_moments(
     sd = 1.0 / (2.0 * math.sqrt(n * m))
     edges = np.arange(1, m + 1, dtype=float) / m
     times = np.union1d(YSTAR_TIMES, edges)
-    U = tent_basis(m).cdf_matrix(times)  # (m, T)
+    U = TentBasis(m).cdf_matrix(times)  # (m, T)
     t_idx, edge_idx = np.searchsorted(times, YSTAR_TIMES), np.searchsorted(times, edges)
 
     def block(b: int, size: int) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "MarkovKernel",
     "bin_counts",
     "counts_to_midpoint_sample",
-    "tent_basis",
     "binning_kernel",
     "midpoint_kernel",
     "reconstruction_kernel",
@@ -132,11 +131,6 @@ class TentBasis:
         return out
 
 
-def tent_basis(m: int) -> TentBasis:
-    """The m-function tent basis; m must be at least 2."""
-    return TentBasis(m=m)
-
-
 @dataclass(frozen=True)
 class MarkovKernel:
     """A randomization between two sample spaces.
@@ -240,7 +234,7 @@ def reconstruction_kernel(m: int) -> MarkovKernel:
     with ``pdf`` and ``cdf``; ``approx.reconstruct`` and every check of f_hat
     use it.
     """
-    basis = tent_basis(m)
+    basis = TentBasis(m)
 
     def sample(cells, seed):
         cells = np.asarray(cells)
@@ -346,37 +340,27 @@ def brownian_bridge_paths(u, rng: np.random.Generator, size: int) -> np.ndarray:
     """Exact standard-Brownian-bridge samples at nondecreasing times.
 
     ``u`` has shape (bridges, points) with entries in [0, 1], nondecreasing
-    along each row.  Returns shape (size, bridges, points).  Sampling is
-    sequential in the bridge filtration, so no path refinement error: with
-    r_k = (1 - u_k) / (1 - u_{k-1}), B(u_k) = r_k B(u_{k-1}) + sqrt((u_k -
-    u_{k-1}) r_k) Z_k.  The r_k and the steps are computed for all points at
-    once; only the two-operation recurrence runs point by point.
+    along each row.  Returns shape (size, bridges, points).  Doob's (1949)
+    construction B(u) = W(u) - u W(1): W at the times is one cumulative sum of
+    N(0, u_k - u_{k-1}) steps and W(1) one step more, so there is no path
+    refinement error, and B is exactly 0 where u is 0 or 1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.size and not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):
         raise DomainError("bridge times must be finite and lie in [0, 1]")
     if np.any(np.diff(u, axis=1) < -1e-12):
         raise UsageError("bridge times must be nondecreasing along rows")
-    bridges, points = u.shape
-    uk = np.clip(u, 0.0, 1.0).T  # (points, bridges)
-    prev_u = np.concatenate([np.zeros((1, bridges)), uk[:-1]])
-    rem = 1.0 - prev_u
-    alive = rem > 1e-15
-    ratio = np.where(alive, (1.0 - uk) / np.where(alive, rem, 1.0), 0.0)
-    sd = np.sqrt(np.clip(np.where(alive, (uk - prev_u) * ratio, 0.0), 0.0, None))
-    out = np.empty((size, bridges, points))
-    b = np.zeros((size, bridges))
-    # normals for about _CHUNK values at a time, in the order of one (size,
-    # bridges) draw per point: working memory stays O(_CHUNK + size * bridges)
-    block = max(1, _CHUNK // max(1, size * bridges))
-    for k0 in range(0, points, block):
-        step = rng.standard_normal((min(block, points - k0), size, bridges))
-        step *= sd[k0 : k0 + block, None, :]
-        for k, s in enumerate(step, k0):
-            b *= ratio[k]
-            b += s
-            out[:, :, k] = b
-    return out
+    u = np.clip(u, 0.0, 1.0)
+    sd = np.diff(u, axis=1, prepend=0.0, append=1.0)  # the step variances, then sds
+    np.sqrt(np.clip(sd, 0.0, None, out=sd), out=sd)
+    w = rng.standard_normal((size,) + u.shape)
+    w *= sd[:, :-1]
+    np.cumsum(w, axis=-1, out=w)
+    w1 = sd[:, -1] * rng.standard_normal((size, len(u)))  # then W(1), drawn last
+    w1 += w[..., -1] if u.shape[1] else 0.0
+    for i, row in enumerate(u):  # one bridge at a time: no path-sized temporary
+        w[:, i] -= row * w1[:, i, None]
+    return w
 
 
 def ystar_values(ybar, U, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -410,7 +394,7 @@ def synthesize_ystar(increments, n: int, seed, grid_resolution: int) -> Trajecto
     if n < 1:
         raise UsageError("n must be >= 1")
     t = np.arange(grid_resolution + 1, dtype=float) / grid_resolution
-    U = tent_basis(m).cdf_matrix(t)  # (m, T)
+    U = TentBasis(m).cdf_matrix(t)  # (m, T)
     values = ystar_values(ybar, U, n, substream(seed, "ystar"))
     values = values - values[0]  # pin y*_0 = 0 exactly against float fuzz
     return Trajectory(times=t, values=values)

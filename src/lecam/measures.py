@@ -34,7 +34,6 @@ __all__ = [
     "tv_discrete",
 ]
 
-_FD_STEP = 1e-6  # central-difference step for f' when no analytic derivative
 _VALIDATE_GRID = 2001  # grid points on which DensityModel.validate checks the class
 _VALIDATE_TOL = 1e-8   # slack on each of validate's bound, integral and Hoelder checks
 
@@ -45,8 +44,8 @@ class DensityModel:
 
     ``pdf`` must be vectorized (ndarray in, ndarray out).  The class
     parameters promise eps <= f <= M and a gamma-Hoelder derivative with
-    constant K.  ``deriv`` and ``primitive`` are optional analytic hooks;
-    the primitive is normalized so that primitive(0) = 0.
+    constant K; ``deriv`` is the analytic f'.  ``primitive`` is an optional
+    analytic hook, normalized so that primitive(0) = 0.
     """
 
     pdf: Callable
@@ -54,7 +53,7 @@ class DensityModel:
     K: float
     eps: float
     M: float
-    deriv: Callable | None = None
+    deriv: Callable
     primitive: Callable | None = None
     name: str = "density"
 
@@ -70,15 +69,6 @@ class DensityModel:
             raise DomainError(f"eps must be positive, got {self.eps}")
         if self.M < self.eps:
             raise DomainError(f"M={self.M} must be >= eps={self.eps}")
-
-    def derivative(self, x):
-        """f'(x), analytic when available, else central differences."""
-        if self.deriv is not None:
-            return self.deriv(x)
-        x = np.asarray(x, dtype=float)
-        lo = np.clip(x - _FD_STEP, 0.0, 1.0)
-        hi = np.clip(x + _FD_STEP, 0.0, 1.0)
-        return (self.pdf(hi) - self.pdf(lo)) / (hi - lo)
 
     def validate(self) -> None:
         """Check the class invariants on a dense grid; raise DomainError."""
@@ -98,12 +88,11 @@ class DensityModel:
         if abs(total - 1.0) > _VALIDATE_TOL:
             raise DomainError(f"{self.name}: integral {total:.12g} != 1")
         # Hoelder spot-check on grid pairs: adjacent points plus long strides.
-        d = np.asarray(self.derivative(x), dtype=float)
-        fd_slack = 10.0 * _FD_STEP if self.deriv is None else 0.0
+        d = np.asarray(self.deriv(x), dtype=float)
         for stride in (1, 7, 101, _VALIDATE_GRID // 2):
             gap = np.abs(d[stride:] - d[:-stride])
             dist = x[stride:] - x[:-stride]
-            bound = self.K * dist**self.gamma + self.K * fd_slack + _VALIDATE_TOL
+            bound = self.K * dist**self.gamma + _VALIDATE_TOL
             if not np.all(gap <= bound):  # a NaN derivative fails here too
                 k = int(np.argmax(gap - bound))
                 raise DomainError(

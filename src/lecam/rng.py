@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_seedseq", "substream_seq", "substream"]
+__all__ = ["substream_seq", "substream"]
 
 
 def _words(item) -> tuple[int, ...]:
@@ -33,16 +33,9 @@ def _words(item) -> tuple[int, ...]:
     )
 
 
-def as_seedseq(seed) -> np.random.SeedSequence:
-    """Coerce an int / None / SeedSequence into a SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def substream_seq(seed, *path) -> np.random.SeedSequence:
-    """SeedSequence for the child stream named by ``path`` under ``seed``."""
-    base = as_seedseq(seed)
+    """SeedSequence for the child stream named by ``path`` under an int, None or SeedSequence."""
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key = tuple(base.spawn_key)
     for item in path:
         key += _words(item)

@@ -15,7 +15,7 @@ from lecam.approx import (
 from lecam.densities import affine, cosine, uniform
 from lecam.errors import NumericalError, UsageError
 from lecam.experiments import theta_of
-from lecam.kernels import reconstruction_kernel, tent_basis
+from lecam.kernels import TentBasis, reconstruction_kernel
 from lecam.measures import DensityModel, DiscreteLaw, PiecewiseLinearDensity
 from lecam.quadrature import integrate
 
@@ -53,7 +53,7 @@ class TestReconstruct:
     def test_interpolation_property(self, m):
         theta = theta_of(COSINE, m)
         fhat = reconstruct(COSINE, m)
-        mids = tent_basis(m).midpoints
+        mids = TentBasis(m).midpoints
         assert fhat.pdf(mids) == pytest.approx(m * theta, abs=1e-13)
 
     def test_matches_tent_combination(self):
@@ -61,7 +61,7 @@ class TestReconstruct:
         theta = theta_of(COSINE, m)
         fhat = reconstruct(COSINE, m)
         x = np.linspace(0.0, 1.0, 401)
-        combo = theta @ tent_basis(m).mixture(np.eye(m)).pdf(x)
+        combo = theta @ TentBasis(m).mixture(np.eye(m)).pdf(x)
         assert fhat.pdf(x) == pytest.approx(combo, abs=1e-12)
 
     def test_is_the_tent_kernels_pushforward(self):
@@ -90,6 +90,7 @@ class TestReconstruct:
             K=alpha * f.K + (1 - alpha) * g.K,
             eps=alpha * f.eps + (1 - alpha) * g.eps,
             M=alpha * f.M + (1 - alpha) * g.M,
+            deriv=lambda x: alpha * f.deriv(x) + (1 - alpha) * g.deriv(x),
             name="mix",
         )
         m = 8

@@ -16,7 +16,7 @@ import lecam.measures
 import lecam.quadrature
 from lecam.cli import main
 from lecam.densities import cosine
-from lecam.experiments import load_samples, sample_iid, save_samples
+from lecam.experiments import format_samples, load_samples, sample_iid
 from lecam.harness import verify_transport
 from lecam.kernels import bin_counts, transport_chain
 from lecam.measures import NormalSpec
@@ -467,11 +467,11 @@ class TestVerify:
         assert blobs[0] == blobs[1] == blobs[2]
 
     # SHA-256 of stdout for the benchmark's verify runs, recorded when the
-    # y* moment check began to run in replication blocks
+    # Brownian bridges became Doob's W(u) - u W(1)
     PINNED = {
-        "--seed 42": "93595d963c4f8cf21ea0fb11dae7842211420dc6dd008ca9007fa7b604371362",
+        "--seed 42": "c13cb7ef0207e38a4ad76e4469b9a92d2e566a9c6c05769cc11c53bb5ce4f1c0",
         "--seed 7 --negative-control": (
-            "f61ce769ebcfbdd4c4f60d2a4667b2c29e0d31a4188a1e039e3e7265277f45c2"
+            "53a2f51b07e28b74560cbf57a69be4d9de75b7112b942637ffb68c12404e76d1"
         ),
     }
 
@@ -592,6 +592,24 @@ class TestTransport:
         assert (code, out) == (2, "")
         assert err == "error: counts total 9223372036854775808 exceeds the int64 range\n"
 
+    @pytest.mark.parametrize("m", ["1099511627776", "4611686018427387904"])
+    def test_more_bins_than_points_exit_2_before_allocating(self, m, capsys):
+        # once exit 4 from numpy: MemoryError (8 TiB) and "array is too big"
+        code, out, err = run(["transport", "--n", "10", "--m", m, "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: m={m} bins exceed the n=10 sample points\n"
+
+    def test_more_bins_than_points_exit_2_in_every_mode(self, tmp_path, capsys):
+        # n is the file's value count or the counts total, as for --n
+        sample = tmp_path / "in.txt"
+        sample.write_text("0.1\n0.4\n0.9\n")
+        argv = ["transport", "--m", "4", "--seed", "3"]
+        want = (2, "", "error: m=4 bins exceed the n=3 sample points\n")
+        assert run(argv + ["--in", str(sample)], capsys) == want
+        assert run(argv + ["--counts", "1,1,0,1"], capsys) == want
+        assert run(argv + ["--n", "3"], capsys) == want
+        assert run(argv + ["--counts", "1,1,0,2"], capsys)[0] == 0  # m = n is accepted
+
     def test_overflowing_envelope_exits_2(self, monkeypatch, capsys):
         # M = 1e308 cannot size sample_iid's rejection batch; refused before any draw
         loose = dataclasses.replace(cosine([0.3]), M=1e308)
@@ -603,12 +621,12 @@ class TestTransport:
 
     def test_input_file_mode(self, tmp_path, capsys):
         sample = tmp_path / "in.txt"
-        sample.write_text("0.1\n0.4\n0.9\n")
+        sample.write_text("0.1\n0.4\n0.9\n0.95\n")
         code, out, _ = run(
             ["transport", "--m", "4", "--in", str(sample), "--seed", "3"], capsys
         )
         assert code == 0
-        assert len(out.split()) == 3
+        assert len(out.split()) == 4
 
     def test_malformed_input_file(self, tmp_path, capsys):
         sample = tmp_path / "bad.txt"
@@ -665,7 +683,7 @@ class TestTransport:
         # same seed path, so it prints the same bytes
         m, seed = 8, 11
         sample = tmp_path / "in.txt"
-        save_samples(sample, sample_iid(cosine([0.3]), 300, 4))
+        sample.write_text("".join(format_samples(sample_iid(cosine([0.3]), 300, 4))))
         xs = load_samples(sample)
         ys = transport_chain(xs.size, m).sample(xs, substream_seq(seed, "chain"))
         want = "".join(f"{v:.12g}\n" for v in ys)
@@ -677,11 +695,11 @@ class TestTransport:
     def test_output_is_a_sample_file(self, tmp_path, capsys):
         m, seed = 8, 5
         sample = tmp_path / "in.txt"
-        save_samples(sample, sample_iid(cosine([0.3]), 500, 2))
+        sample.write_text("".join(format_samples(sample_iid(cosine([0.3]), 500, 2))))
         xs = load_samples(sample)
         ys = transport_chain(xs.size, m).sample(xs, substream_seq(seed, "chain"))
         want = tmp_path / "want.txt"
-        save_samples(want, ys)
+        want.write_text("".join(format_samples(ys)))
         out = tmp_path / "out.txt"
         argv = ["transport", "--m", str(m), "--seed", str(seed), "--in", str(sample)]
         assert run(argv + ["--out", str(out)], capsys)[0] == 0
@@ -742,12 +760,12 @@ class TestTransport:
             monkeypatch.setattr(module, "transport_chain", spy)
         verify_transport(cosine([0.3]), n=500, m=8, seed=1)
         sample = tmp_path / "in.txt"
-        sample.write_text("0.1\n0.4\n0.9\n")
+        sample.write_text("0.1\n0.4\n0.9\n0.95\n")
         argv = ["transport", "--m", "4", "--seed", "3"]
         assert run(argv + ["--in", str(sample)], capsys)[0] == 0
-        assert run(argv + ["--counts", "1,1,0,1"], capsys)[0] == 0
+        assert run(argv + ["--counts", "1,1,0,2"], capsys)[0] == 0
         assert run(argv[:3] + ["--n", "20"] + argv[3:], capsys)[0] == 0
-        assert built == [(500, 8), (3, 4), (3, 4), (20, 4)]
+        assert built == [(500, 8), (4, 4), (4, 4), (20, 4)]
 
     def test_empty_sample_exits_2(self, tmp_path, capsys):
         sample = tmp_path / "empty.txt"

@@ -18,7 +18,6 @@ from lecam.experiments import (
     load_samples,
     sample_iid,
     sample_white_noise,
-    save_samples,
     sqrt_cell_means,
     theta_of,
 )
@@ -60,13 +59,19 @@ class TestThetaOf:
         assert isinstance(th, np.ndarray) and th.shape == (8,) and th.dtype == float
 
     def test_rejects_mass_that_does_not_sum_to_one(self):
-        f = DensityModel(pdf=lambda x: np.full_like(x, 1.2), gamma=1.0, K=1.0, eps=0.5, M=2.0)
+        f = DensityModel(
+            pdf=lambda x: np.full_like(x, 1.2), gamma=1.0, K=1.0, eps=0.5, M=2.0,
+            deriv=np.zeros_like,
+        )
         with pytest.raises(DomainError, match="sums to 1.2"):
             theta_of(f, 4)
 
     def test_rejects_negative_mass_under_a_tiny_lower_bound(self):
         # 4x - 1 integrates to 1 but gives the first of four cells mass -1/8
-        f = DensityModel(pdf=lambda x: 4.0 * x - 1.0, gamma=1.0, K=1.0, eps=1e-12, M=3.0)
+        f = DensityModel(
+            pdf=lambda x: 4.0 * x - 1.0, gamma=1.0, K=1.0, eps=1e-12, M=3.0,
+            deriv=lambda x: np.full_like(x, 4.0),
+        )
         with pytest.raises(DomainError, match="outside"):
             theta_of(f, 4)
 
@@ -258,7 +263,7 @@ class TestSerialization:
     def test_samples_roundtrip(self, tmp_path):
         xs = sample_iid(COSINE, 50, 9)
         path = tmp_path / "samples.txt"
-        save_samples(path, xs)
+        path.write_text(formatted(xs))
         back = load_samples(path)
         assert back == pytest.approx(xs, abs=1e-10)
 

@@ -12,6 +12,7 @@ from lecam.experiments import sample_iid, theta_of
 from lecam.kernels import (
     MarkovKernel,
     Space,
+    TentBasis,
     bin_counts,
     binning_kernel,
     brownian_bridge_paths,
@@ -21,7 +22,6 @@ from lecam.kernels import (
     product_kernel,
     reconstruction_kernel,
     synthesize_ystar,
-    tent_basis,
     transport_batch,
     transport_chain,
 )
@@ -43,7 +43,7 @@ def identity_kernel(space):
 
 class TestTentBasis:
     def test_m2_shape(self):
-        b = tent_basis(2)
+        b = TentBasis(2)
         x = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
         tents = b.mixture(np.eye(2)).pdf(x)
         assert tents[0] == pytest.approx([2, 2, 2, 1, 0, 0], abs=1e-14)
@@ -52,33 +52,33 @@ class TestTentBasis:
 
     @pytest.mark.parametrize("m", [2, 3, 8, 17])
     def test_partition_of_unity(self, m):
-        b = tent_basis(m)
+        b = TentBasis(m)
         x = np.linspace(0.0, 1.0, 1000)
         assert np.abs(b.mixture(np.eye(m)).pdf(x).sum(axis=0) - m).max() <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_interpolation_property(self, m):
-        b = tent_basis(m)
+        b = TentBasis(m)
         vals = b.mixture(np.eye(m)).pdf(b.midpoints)
         assert vals == pytest.approx(m * np.eye(m), abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_unit_mass(self, m):
-        b = tent_basis(m)
+        b = TentBasis(m)
         assert b.cdf_matrix(np.array([1.0])) == pytest.approx(
             np.ones((m, 1)), abs=1e-14
         )
 
     @pytest.mark.parametrize("m", range(2, 65))
     def test_cdf_ends_are_exact(self, m):
-        ends = tent_basis(m).cdf_matrix(np.array([-0.5, 0.0, 1.0, 1.5]))
+        ends = TentBasis(m).cdf_matrix(np.array([-0.5, 0.0, 1.0, 1.5]))
         assert np.array_equal(ends, np.repeat([[0.0, 0.0, 1.0, 1.0]], m, axis=0))
 
     @pytest.mark.parametrize("m", [2, 8, 16, 64])
     def test_dyadic_cdf_is_exact(self, m):
         # at dyadic m every tent integral on the grid k / (4m) is a dyadic
         # rational, so the float CDF must equal it bit for bit
-        b = tent_basis(m)
+        b = TentBasis(m)
         t = [Fraction(k, 4 * m) for k in range(4 * m + 1)]
         got = b.cdf_matrix(np.array([float(x) for x in t]))
         assert got.flags.c_contiguous
@@ -99,14 +99,14 @@ class TestTentBasis:
             assert got[j].tolist() == want
 
     def test_ppf_cdf_roundtrip(self):
-        b = tent_basis(5)
+        b = TentBasis(5)
         u = np.linspace(0.001, 0.999, 199)
         for j in range(1, 6):
             x = b.ppf_indexed(np.full(u.shape, j - 1), u)
             assert b.cdf_matrix(x)[j - 1] == pytest.approx(u, abs=1e-12)
 
     def test_sample_matches_cdf(self):
-        b = tent_basis(4)
+        b = TentBasis(4)
         rng = np.random.default_rng(5)
         for j in (1, 2, 4):
             draws = b.ppf_indexed(np.full(10_000, j - 1), rng.uniform(size=10_000))
@@ -116,7 +116,7 @@ class TestTentBasis:
     @pytest.mark.parametrize("m", [2, 3, 5, 16, 64, 257])
     def test_ppf_matches_the_branchwise_formula(self, m):
         # the former three-branch formula, bit for bit, at the edges of u and j
-        b = tent_basis(m)
+        b = TentBasis(m)
         edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0]
         rng = np.random.default_rng(m)
         j = np.concatenate([np.repeat(np.arange(m), len(edges)), rng.integers(0, m, 4000)])
@@ -136,11 +136,11 @@ class TestTentBasis:
 
     def test_m_floor(self):
         with pytest.raises(UsageError):
-            tent_basis(1)
+            TentBasis(1)
 
     def test_ppf_rejects_float_indices(self):
         # a float index is not truncated to a cell, even when it is integral
-        b = tent_basis(4)
+        b = TentBasis(4)
         for bad in (np.array([0.9, 2.5]), np.array([0.0, 2.0]), 1.0):
             with pytest.raises(DomainError):
                 b.ppf_indexed(bad, [0.5, 0.5])
@@ -245,7 +245,7 @@ class TestReconstructionKernel:
 
     def test_point_mass_pushforward_is_tent(self):
         m = 4
-        b = tent_basis(m)
+        b = TentBasis(m)
         k = reconstruction_kernel(m)
         law = DiscreteLaw(((0, 1.0),))
         fhat = k.pushforward_density(law)
@@ -255,7 +255,7 @@ class TestReconstructionKernel:
 
     def test_draws_match_tent_cdf(self):
         m = 4
-        b = tent_basis(m)
+        b = TentBasis(m)
         k = reconstruction_kernel(m)
         for j in (1, 3):
             draws = k.sample(np.full(10_000, j - 1), substream_seq(3, j))
@@ -450,6 +450,18 @@ class TestBridges:
         band = 4.0 * expect * np.sqrt(2.0 / 199_999)
         assert (np.abs(var - expect) <= band).all()
 
+    def test_covariance_function(self):
+        # Cov(B(s), B(t)) = s (1 - t) for s <= t; the band is 4 SE of a sample covariance
+        u = np.array([[0.2, 0.5, 0.8]])
+        R = 200_000
+        paths = brownian_bridge_paths(u, np.random.default_rng(2), R)[:, 0, :]
+        cov = np.cov(paths, rowvar=False)
+        s, t = np.meshgrid(u[0], u[0], indexing="ij")
+        expect = np.minimum(s, t) - s * t
+        var = np.diag(expect)
+        band = 4.0 * np.sqrt((np.outer(var, var) + expect**2) / (R - 1))
+        assert (np.abs(cov - expect) <= band).all()
+
     def test_monotone_times_required(self):
         with pytest.raises(UsageError):
             brownian_bridge_paths(np.array([[0.5, 0.2]]), np.random.default_rng(0), 1)
@@ -493,6 +505,24 @@ class TestSynthesizeYstar:
     def test_nan_increment_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             synthesize_ystar(np.array([0.5, np.nan]), 10, 1, 4)
+
+    def test_variance_where_two_bridges_overlap(self):
+        # fixed increments leave only the bridges: Var(y*_t) = sum_i U_i(t) (1 - U_i(t))
+        # / (4nm), checked between tent midpoints, where two tents' CDFs both move
+        inc = np.array([0.3, 0.2, 0.1, 0.4])
+        n, m, res, R = 50, 4, 16, 3_000
+        ys = np.array(
+            [synthesize_ystar(inc, n, substream_seq(11, r), res).values for r in range(R)]
+        )
+        t = np.arange(res + 1) / res
+        basis = TentBasis(m)
+        U = basis.cdf_matrix(t)
+        mids = basis.midpoints
+        seam = (t > mids[0]) & (t < mids[-1]) & ~np.isin(t, mids)
+        expect = (U * (1.0 - U)).sum(axis=0)[seam] / (4.0 * n * m)
+        var = ys.var(axis=0, ddof=1)[seam]
+        assert seam.sum() == 9
+        assert (np.abs(var - expect) <= 4.0 * expect * np.sqrt(2.0 / (R - 1))).all()
 
     def test_full_trajectory_chain_variance(self):
         # honest chain: white-noise trajectory -> increments -> reassembled y*,

@@ -16,11 +16,11 @@ from lecam.densities import cosine, uniform
 from lecam.errors import DomainError
 from lecam.experiments import _CHUNK, format_samples, sample_iid
 from lecam.kernels import (
+    TentBasis,
     bin_counts,
     brownian_bridge_paths,
     counts_to_midpoint_sample,
     synthesize_ystar,
-    tent_basis,
     transport_chain,
 )
 from lecam.rng import substream, substream_seq
@@ -74,27 +74,27 @@ def chain_reference(x, n, m, seed, start=0):
     if n > 1:  # the i.i.d. power draws from its own "coords" stream
         tent_seed = substream_seq(tent_seed, "coords")
     u = substream(tent_seed, "tent").uniform(size=x.shape)
-    return tent_basis(m).ppf_indexed(x, u)
+    return TentBasis(m).ppf_indexed(x, u)
 
 
 def bridge_reference(u, rng, size):
-    """The bridge sampler as one Python step per time point."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    """Doob's bridge B(u) = W(u) - u W(1), with W summed one Python step per time point."""
+    u = np.clip(np.atleast_2d(np.asarray(u, dtype=float)), 0.0, 1.0)
     bridges, points = u.shape
-    out = np.zeros((size, bridges, points))
+    z = rng.standard_normal((size, bridges, points))
+    z1 = rng.standard_normal((size, bridges))  # the step on to u = 1, drawn last
+    times = np.column_stack([u, np.ones(bridges)])
+    w = np.empty((size, bridges, points + 1))
     prev_u = np.zeros(bridges)
-    prev_b = np.zeros((size, bridges))
-    for k in range(points):
-        uk = np.clip(u[:, k], 0.0, 1.0)
-        rem = 1.0 - prev_u
-        alive = rem > 1e-15
-        ratio = np.where(alive, (1.0 - uk) / np.where(alive, rem, 1.0), 0.0)
-        var = np.where(alive, (uk - prev_u) * ratio, 0.0)
-        b = prev_b * ratio + np.sqrt(np.clip(var, 0.0, None)) * rng.standard_normal(
-            (size, bridges)
+    for k in range(points + 1):
+        step = (z[:, :, k] if k < points else z1) * np.sqrt(
+            np.clip(times[:, k] - prev_u, 0.0, None)
         )
-        out[:, :, k] = b
-        prev_u, prev_b = uk, b
+        w[:, :, k] = step if k == 0 else w[:, :, k - 1] + step
+        prev_u = times[:, k]
+    out = np.empty((size, bridges, points))
+    for k in range(points):
+        out[:, :, k] = w[:, :, k] - u[:, k] * w[:, :, points]
     return out
 
 
@@ -172,14 +172,13 @@ class TestKernels:
         got = transport_chain(n, m).sample(counts, 7, start=1)
         assert np.array_equal(got, chain_reference(counts, n, m, 7, start=1))
 
-    # normals come in blocks of about _CHUNK values: several blocks of points,
-    # one block, and one point per block when size * bridges exceeds _CHUNK
+    # the chain's y* grid, a verify block, many paths over few points, one point
     @pytest.mark.parametrize(
         "size, bridges, points", [(1, 64, 4097), (500, 8, 8), (10_000, 8, 3), (3, 1, 1)]
     )
     def test_bridges_match_the_point_loop(self, size, bridges, points):
         t = np.linspace(0.0, 1.0, points)
-        u = tent_basis(max(bridges, 2)).cdf_matrix(t)[:bridges]
+        u = TentBasis(max(bridges, 2)).cdf_matrix(t)[:bridges]
         got = brownian_bridge_paths(u, np.random.default_rng(5), size)
         want = bridge_reference(u, np.random.default_rng(5), size)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -248,7 +247,7 @@ def test_ystar_is_unchanged_by_the_bridge_rewrite():
     incs = np.full(64, 1.0 / 64)
     got = synthesize_ystar(incs, 10_000, 3, 4096)
     t = got.times
-    U = tent_basis(64).cdf_matrix(t)
+    U = TentBasis(64).cdf_matrix(t)
     paths = bridge_reference(U, substream(3, "ystar"), 1)
     values = incs @ U + paths.sum(axis=1)[0] * (1.0 / (2.0 * np.sqrt(10_000 * 64)))
     assert np.array_equal(got.values, values - values[0])
