@@ -1,8 +1,9 @@
 """Built-in density catalog.
 
-Every entry has closed-form integrals and derivatives, so tests can check
-quadrature output against exact antiderivatives.  ``cosine`` clamps its
-coefficients into the class; ``parse_spec`` refuses a spec it would clamp.
+Every entry has a closed-form derivative (``deriv``) and a closed-form
+antiderivative, which the tests write out to check quadrature output.
+``cosine`` clamps its coefficients into the class; ``parse_spec`` refuses a
+spec it would clamp.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ def uniform(gamma: float = 1.0) -> DensityModel:
         eps=1.0,
         M=1.0,
         deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        primitive=lambda x: np.asarray(x, dtype=float),
         name="uniform",
     )
 
@@ -73,9 +73,6 @@ def cosine(coeffs, gamma: float = 1.0) -> DensityModel:
     def deriv(x):
         return series(x, np.zeros_like, -(a * _TWO_PI * k), np.sin)
 
-    def primitive(x):
-        return series(x, np.copy, a / (_TWO_PI * k), np.sin)
-
     last = int(np.nonzero(a)[0].max()) + 1
     return DensityModel(
         pdf=pdf,
@@ -84,7 +81,6 @@ def cosine(coeffs, gamma: float = 1.0) -> DensityModel:
         eps=float(1.0 - s),
         M=float(1.0 + s),
         deriv=deriv,
-        primitive=primitive,
         name="cosine:" + ",".join(f"{c:g}" for c in a[:last]),
     )
 
@@ -101,10 +97,6 @@ def affine(slope: float, gamma: float = 1.0) -> DensityModel:
     def deriv(x):
         return np.full_like(np.asarray(x, dtype=float), a)
 
-    def primitive(x):
-        x = np.asarray(x, dtype=float)
-        return x + a * (x**2 / 2.0 - x / 2.0)
-
     return DensityModel(
         pdf=pdf,
         gamma=gamma,
@@ -112,7 +104,6 @@ def affine(slope: float, gamma: float = 1.0) -> DensityModel:
         eps=1.0 - abs(a) / 2.0,
         M=1.0 + abs(a) / 2.0,
         deriv=deriv,
-        primitive=primitive,
         name=f"affine:{a:g}",
     )
 

@@ -51,13 +51,13 @@ _pool = ThreadPoolExecutor(min(2, _cpus or 1), "lecam-slice")
 def map_slices(fn: Callable, items: Sequence) -> Iterator:
     """``fn(item)`` for each item of a sequence, yielded in sequence order.
 
-    The items are slice starts of a per-point pass, block numbers of
-    ``verify``'s Monte Carlo checks or the suite's checks.  Runs on
-    ``_pool``, at most one item more than it has workers submitted and not
-    yet yielded.  It runs inline where a pool gains nothing or could wait on
-    itself: for two items or fewer, on a one-worker pool, and off the main
-    thread (a pool worker's call).  An exception comes out at its item's
-    turn, and a stopped iterator waits for its running items.
+    The items are slice starts of a per-point pass or block numbers of
+    ``verify``'s Monte Carlo checks.  Runs on ``_pool``, at most one item
+    more than it has workers submitted and not yet yielded.  It runs inline
+    where a pool gains nothing or could wait on itself: for two items or
+    fewer, on a one-worker pool, and off the main thread (a pool worker's
+    call).  An exception comes out at its item's turn, and a stopped
+    iterator waits for its running items.
     """
     off_main = threading.current_thread() is not threading.main_thread()
     if len(items) <= 2 or _pool._max_workers < 2 or off_main:

@@ -468,66 +468,49 @@ def run_suite(
     replications: int = 10_000,
     negative_control: bool = False,
 ) -> list[CheckReport]:
-    """The default verification suite; deterministic given the master seed."""
+    """The default verification suite; deterministic given the master seed.
+
+    The checks run one after another on the calling thread, in report order;
+    only their slices and replication blocks go to the slice pool.
+    """
     f.validate()
     _moment_replications(replications)  # before any check draws
-    # the risk-transfer check, most of the work, runs first on this thread so
-    # that its blocks fan out on the slice pool with no check in flight there
-    # that could wait on this thread; the other checks follow on the pool, one
-    # per slice, and the risk report goes after the positive checks
-    risk = verify_risk_transfer(
-        theta1_problem(16),
-        f,
-        n=1000,
-        m=16,
-        replications=replications,
-        seed=substream_seq(seed, "risk"),
-    )
-    jobs: list[Callable[[], CheckReport]] = [
-        functools.partial(
-            verify_sufficiency, f, n=10_000, m=m, seed=substream_seq(seed, "sufficiency", m)
-        )
+    reports = [
+        verify_sufficiency(f, n=10_000, m=m, seed=substream_seq(seed, "sufficiency", m))
         for m in (4, 8, 16)
     ]
-    jobs += [
-        functools.partial(
-            verify_transport, f, n=10_000, m=m, seed=substream_seq(seed, "transport", m)
-        )
+    reports += [
+        verify_transport(f, n=10_000, m=m, seed=substream_seq(seed, "transport", m))
         for m in (8, 16)
     ]
-    jobs += [
-        functools.partial(
-            verify_ystar_moments,
-            f,
-            n=n,
-            m=8,
-            replications=replications,
-            seed=substream_seq(seed, "ystar", n),
+    reports += [
+        verify_ystar_moments(
+            f, n=n, m=8, replications=replications, seed=substream_seq(seed, "ystar", n)
         )
         for n in (25, 100)
     ]
-    risk_index = len(jobs)
-    if negative_control:
-        jobs.append(
-            functools.partial(
-                verify_sufficiency,
-                f,
-                n=10_000,
-                m=8,
-                seed=substream_seq(seed, "neg-sufficiency"),
-                theta_override=_perturbed_theta(theta_of(f, 8)),
-            )
+    reports.append(
+        verify_risk_transfer(
+            theta1_problem(16),
+            f,
+            n=1000,
+            m=16,
+            replications=replications,
+            seed=substream_seq(seed, "risk"),
         )
-        jobs.append(
-            functools.partial(
-                verify_transport,
+    )
+    if negative_control:
+        wrong = _perturbed_theta(theta_of(f, 8))
+        reports += [
+            verify_sufficiency(
+                f, n=10_000, m=8, seed=substream_seq(seed, "neg-sufficiency"), theta_override=wrong
+            ),
+            verify_transport(
                 f,
                 n=10_000,
                 m=8,
                 seed=substream_seq(seed, "neg-transport"),
                 skip_reconstruction=True,
-            )
-        )
-    reports = list(map_slices(lambda job: job(), jobs))
-    reports.insert(risk_index, risk)
+            ),
+        ]
     return reports

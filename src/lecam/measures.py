@@ -44,8 +44,7 @@ class DensityModel:
 
     ``pdf`` must be vectorized (ndarray in, ndarray out).  The class
     parameters promise eps <= f <= M and a gamma-Hoelder derivative with
-    constant K; ``deriv`` is the analytic f'.  ``primitive`` is an optional
-    analytic hook, normalized so that primitive(0) = 0.
+    constant K; ``deriv`` is the analytic f'.
     """
 
     pdf: Callable
@@ -54,7 +53,6 @@ class DensityModel:
     eps: float
     M: float
     deriv: Callable
-    primitive: Callable | None = None
     name: str = "density"
 
     def __post_init__(self):

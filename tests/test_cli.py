@@ -610,6 +610,26 @@ class TestTransport:
         assert run(argv + ["--n", "3"], capsys) == want
         assert run(argv + ["--counts", "1,1,0,2"], capsys)[0] == 0  # m = n is accepted
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "1099511627776", "--m", "4"],
+            ["--n", "4611686018427387904", "--m", "4"],
+            ["--m", "2", "--counts", "549755813888,549755813888"],
+        ],
+        ids=["2^40-points", "2^62-points", "2^40-counts"],
+    )
+    def test_more_points_than_memory_exit_2_before_allocating(self, argv, monkeypatch, capsys):
+        # past the check numpy raises MemoryError or "array is too big" (the
+        # counts route in its uint8 midpoint array), which would exit 4
+        touched = []
+        for name in ("sample_iid", "transport_chain", "transport_batch"):
+            monkeypatch.setattr(lecam.cli, name, lambda *a, **k: touched.append(a))
+        code, out, err = run(["transport"] + argv + ["--seed", "1"], capsys)
+        assert (code, out, touched) == (2, "", [])
+        assert err.startswith("error: n=") and "GiB of physical memory" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_overflowing_envelope_exits_2(self, monkeypatch, capsys):
         # M = 1e308 cannot size sample_iid's rejection batch; refused before any draw
         loose = dataclasses.replace(cosine([0.3]), M=1e308)

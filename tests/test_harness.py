@@ -396,6 +396,41 @@ class TestSuite:
         assert reports[0] == reports[1] == reports[2]
         assert f"reps={R}]" in reports[0][7]
 
+    def test_checks_run_in_report_order_on_the_calling_thread(self, monkeypatch):
+        # even on a two-worker pool no whole check runs on a worker, and none
+        # runs ahead of the reports before it
+        pool = slice_pool(monkeypatch, 2)
+        caller = threading.current_thread()
+        calls = []
+
+        def recorded(name):
+            def check(*args, **kwargs):
+                calls.append((name, kwargs["n"], kwargs["m"], threading.current_thread()))
+                return CheckReport(name=f"{name}#{len(calls)}", passed=True, statistic=0.0)
+
+            return check
+
+        for name in ("sufficiency", "transport", "ystar_moments", "risk_transfer"):
+            monkeypatch.setattr(lecam.harness, f"verify_{name}", recorded(name))
+        try:
+            reports = run_suite(COSINE, seed=42, replications=1_000, negative_control=True)
+        finally:
+            pool.shutdown()
+        assert [c[:3] for c in calls] == [
+            ("sufficiency", 10_000, 4),
+            ("sufficiency", 10_000, 8),
+            ("sufficiency", 10_000, 16),
+            ("transport", 10_000, 8),
+            ("transport", 10_000, 16),
+            ("ystar_moments", 25, 8),
+            ("ystar_moments", 100, 8),
+            ("risk_transfer", 1000, 16),
+            ("sufficiency", 10_000, 8),
+            ("transport", 10_000, 8),
+        ]
+        assert all(c[3] is caller for c in calls)
+        assert [r.name for r in reports] == [f"{c[0]}#{k}" for k, c in enumerate(calls, 1)]
+
     def test_negative_controls_fail(self):
         reports = run_suite(COSINE, seed=42, replications=1_000, negative_control=True)
         names = [r.name for r in reports]
@@ -405,8 +440,8 @@ class TestSuite:
         assert all(r.details.get("negative_control") for r in failing)
 
     def test_too_few_replications_exit_2_before_any_draw(self, monkeypatch, capsys):
-        # the y* checks need 100 replications; the risk check, which runs
-        # first, must not draw before the suite refuses
+        # the y* checks need 100 replications; the checks before them must
+        # not draw before the suite refuses
         drawn = []
         monkeypatch.setattr(lecam.harness, "sample_iid", lambda *args: drawn.append(args))
         assert main(["verify", "--seed", "1", "--reps", "99"]) == 2

@@ -2,8 +2,8 @@
 
 ``experiments.map_slices`` runs the per-slice passes of ``transport`` (the
 sampler's candidate slices, the tent draws and the writer's chunks) and the
-``verify`` suite (the risk-transfer blocks, then the other checks) on a
-thread pool of at most two workers.  Each test here runs under pools of 1, 2
+replication blocks of ``verify``'s risk-transfer and y* checks on a thread
+pool of at most two workers.  Each test here runs under pools of 1, 2
 and 3 workers and compares with a whole-array reference or a pinned hash, so
 none of them depends on the machine's CPU count.
 """
@@ -179,7 +179,7 @@ class TestSlicePool:
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_verify_under_each_slice_pool(self, workers, capsys, parallel):
         # --parallel is accepted and changes nothing: the suite runs its checks
-        # on the slice pool, whose workers run their own slices inline
+        # on this thread, and their slices and blocks on the slice pool
         argv = ["verify", "--seed", "42", "--reps", "10000", "--parallel", parallel]
         code, out, _ = test_cli.run(argv, capsys)
         assert code == 0
